@@ -23,14 +23,20 @@ DEGREE_BOUND = 6
 CUMULANT_BOUND = 20
 
 
+class _MalformedOverride(ValueError):
+    pass
+
+
 def _bound(default: int) -> int:
+    """The default bound, raised (never lowered) by PARKHOPF_MAX_N."""
     env = os.environ.get("PARKHOPF_MAX_N")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return default
+    if not env:
+        return default
+    try:
+        return max(default, int(env))
+    except ValueError:
+        raise _MalformedOverride(
+            f"malformed PARKHOPF_MAX_N: {env!r} is not an integer") from None
 
 
 def _die(code: int, msg: str) -> int:
@@ -126,12 +132,16 @@ def cmd_enum(args) -> int:
             _emit(args, str(count),
                   {"kind": args.kind, "n": args.n, "count": count})
             return 0
-        listed = sorted(words.enumerate_class(args.kind, args.n))
+        # every class generator yields in lexicographic order
+        listed = words.enumerate_class(args.kind, args.n)
     except ValueError as exc:
         return _die(3, str(exc))
-    if args.format == "json" or args.out:
-        payload = {"kind": args.kind, "n": args.n,
-                   "words": [list(a) for a in listed]}
+    if args.format == "text" and not args.out:
+        sys.stdout.writelines(render_word(a) + "\n" for a in listed)
+        return 0
+    listed = list(listed)
+    payload = {"kind": args.kind, "n": args.n,
+               "words": [list(a) for a in listed]}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -342,7 +352,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _MalformedOverride as exc:
+        return _die(3, str(exc))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ from itertools import combinations
 from math import comb
 
 from .fbasis import _f_in_mult_basis, f_coproduct
-from .linear import Lin, extend_bilinear, extend_linear, invert_unitriangular
+from .linear import (Lin, _build, extend_bilinear, extend_linear,
+                     invert_unitriangular)
 from .words import (
     Word,
     breakpoints,
@@ -66,10 +67,7 @@ def g_product(a1: Word, a2: Word) -> Lin:
 
 
 def lin_from_words(words) -> Lin:
-    out = Lin()
-    for w in words:
-        out += Lin.basis(w)
-    return out
+    return _build((w, 1) for w in words)
 
 
 g_mul = extend_bilinear(g_product)

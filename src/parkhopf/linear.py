@@ -3,12 +3,15 @@
 A Lin is an immutable-ish sparse vector: a dict from label to nonzero
 Fraction.  Labels can be anything hashable — words, pairs of words for tensor
 squares, compositions — so every algebra in the package shares this one class
-and the handful of free functions below.
+and the handful of free functions below.  Sums of many terms go through
+``_build``, which fills one fresh dict in place and freezes it; a Lin that
+has been returned is never mutated, so cached results can be shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Any, Callable, Iterable, Iterator
 
@@ -117,20 +120,31 @@ class Lin:
 
     def map_labels(self, f: Callable[[Label], Label]) -> "Lin":
         """Relabel basis elements, collecting collisions."""
-        out = Lin()
-        for k, c in self._t.items():
-            out += Lin.basis(f(k), c)
-        return out
+        return _build((f(k), c) for k, c in self._t.items())
 
     def support_sorted(self, key=None):
         return sorted(self._t, key=key)
 
 
+def _build(terms: Iterable[tuple[Label, Any]]) -> Lin:
+    """Sum (label, coefficient) pairs into one fresh Lin.
+
+    The pairs are added into a private dict in place, zero sums are dropped
+    and the rest frozen with Fraction coefficients (int coefficients are
+    converted).  The result never shares its dict with any other Lin.
+    """
+    acc: dict[Label, Any] = {}
+    get = acc.get
+    for k, c in terms:
+        acc[k] = get(k, 0) + c
+    r = Lin()
+    r._t = {k: c if type(c) is Fraction else Fraction(c)
+            for k, c in acc.items() if c}
+    return r
+
+
 def lin_sum(items: Iterable[Lin]) -> Lin:
-    out = Lin()
-    for x in items:
-        out += x
-    return out
+    return _build(kc for x in items for kc in x._t.items())
 
 
 def term_key(label) -> tuple:
@@ -146,21 +160,15 @@ def sorted_items(v: Lin) -> list[tuple[Label, Fraction]]:
 
 def extend_linear(f: Callable[[Label], Lin]) -> Callable[[Lin], Lin]:
     def ext(v: Lin) -> Lin:
-        out = Lin()
-        for k, c in v.items():
-            out += f(k).scale(c)
-        return out
+        return _build(kc for k, c in v.items() for kc in f(k).scale(c).items())
 
     return ext
 
 
 def extend_bilinear(f: Callable[[Label, Label], Lin]) -> Callable[[Lin, Lin], Lin]:
     def ext(u: Lin, v: Lin) -> Lin:
-        out = Lin()
-        for k1, c1 in u.items():
-            for k2, c2 in v.items():
-                out += f(k1, k2).scale(c1 * c2)
-        return out
+        return _build(kc for k1, c1 in u.items() for k2, c2 in v.items()
+                      for kc in f(k1, k2).scale(c1 * c2).items())
 
     return ext
 
@@ -190,11 +198,10 @@ def tensor_mul(mul: Callable[[Label, Label], Lin]) -> Callable[[Lin, Lin], Lin]:
     """Componentwise product on tensor squares: (a(x)b)(c(x)d) = ac (x) bd."""
 
     def prod(x: Lin, y: Lin) -> Lin:
-        out = Lin()
-        for (a1, a2), c1 in x.items():
-            for (b1, b2), c2 in y.items():
-                out += tensor(mul(a1, b1), mul(a2, b2)).scale(c1 * c2)
-        return out
+        return _build(kc for (a1, a2), c1 in x.items()
+                      for (b1, b2), c2 in y.items()
+                      for kc in tensor(mul(a1, b1), mul(a2, b2))
+                      .scale(c1 * c2).items())
 
     return prod
 
@@ -243,11 +250,9 @@ def invert_unitriangular(
     order = reversed(labels) if direction >= 0 else labels
     inv: dict[Label, Lin] = {}
     for b in order:
-        v = Lin.basis(b)
-        for k, c in rows[b].items():
-            if k != b:
-                v -= inv[k].scale(c)
-        inv[b] = v
+        inv[b] = _build(chain([(b, 1)], (kc for k, c in rows[b].items()
+                                          if k != b
+                                          for kc in inv[k].scale(-c).items())))
     return inv
 
 

@@ -35,6 +35,32 @@ def test_enum_bound_override(capsys, monkeypatch):
     assert code == 0 and out.strip() == str(10 ** 8)
 
 
+def test_bound_override_only_raises(capsys, monkeypatch):
+    monkeypatch.setenv("PARKHOPF_MAX_N", "9")
+    moments = ",".join(["1"] * 10)
+    code, out, _ = run(capsys, "cumulants", "--moments", moments)
+    assert code == 0 and out.strip()
+    monkeypatch.setenv("PARKHOPF_MAX_N", "3")
+    code, out, _ = run(capsys, "enum", "pf", "4", "--count-only")
+    assert code == 0 and out.strip() == "125"
+
+
+def test_enum_bound_override_malformed(capsys, monkeypatch):
+    for value in ("nine", "9.5"):
+        monkeypatch.setenv("PARKHOPF_MAX_N", value)
+        code, out, err = run(capsys, "enum", "pf", "3", "--count-only")
+        assert code == 3 and out == "" and "PARKHOPF_MAX_N" in err
+
+
+def test_enum_text_streams_the_json_words(capsys):
+    code, text, _ = run(capsys, "enum", "connected", "4")
+    assert code == 0
+    code, doc, _ = run(capsys, "enum", "connected", "4", "--format", "json")
+    assert code == 0
+    listed = ["".join(map(str, a)) for a in json.loads(doc)["words"]]
+    assert text.splitlines() == listed and len(listed) == 92
+
+
 def test_mul_text(capsys):
     code, out, _ = run(capsys, "mul", "--basis", "F", "12", "11")
     assert code == 0

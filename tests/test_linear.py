@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from parkhopf import fbasis, gbasis
 from parkhopf.linear import (Lin, dual_pairing, extend_bilinear,
                              extend_linear, graded_dimension,
                              invert_unitriangular, lin_sum, sorted_items,
@@ -81,6 +82,35 @@ def test_tensor_mul():
 def test_lin_sum():
     assert lin_sum(Lin.basis((k,)) for k in range(3)) == (
         Lin.basis((0,)) + Lin.basis((1,)) + Lin.basis((2,)))
+
+
+def test_built_sums_drop_zeros_and_keep_fractions():
+    x = Lin.basis((1,), Fraction(1, 2)) + Lin.basis((2,))
+    cancelled = lin_sum([x, -x])
+    assert cancelled == Lin() and len(cancelled) == 0
+    dup = extend_linear(lambda a: Lin.basis(a + a))
+    assert all(type(c) is Fraction for _, c in dup(x).items())
+    assert all(type(c) is Fraction for _, c in fbasis.f_product((1,), (1,)).items())
+
+
+def test_mutating_a_built_result_cannot_reach_a_cache():
+    atom = fbasis.v_atom(3)
+    before = dict(atom._t)
+    for built in (lin_sum([atom]), atom.map_labels(lambda a: a),
+                  extend_linear(lambda n: fbasis.v_atom(n))(Lin.basis(3)),
+                  fbasis.f_mul(Lin.basis(()), atom)):
+        assert built == atom and built is not atom and built._t is not atom._t
+        built._t.clear()
+    assert fbasis.v_atom(3) is atom and atom._t == before
+
+    a = (2, 1, 1)
+    cached = gbasis._g_antipode(a)
+    before = dict(cached._t)
+    for built in (gbasis.g_antipode_lin(Lin.basis(a)),
+                  extend_linear(gbasis._g_antipode)(Lin.basis(a))):
+        assert built == cached and built._t is not cached._t
+        built._t[(9,)] = Fraction(1)
+    assert gbasis._g_antipode(a)._t == before
 
 
 def test_invert_unitriangular():

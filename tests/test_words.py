@@ -12,6 +12,14 @@ random_word = st.lists(st.integers(min_value=1, max_value=9),
                        min_size=0, max_size=7).map(tuple)
 
 
+@pytest.mark.parametrize("kind", words.ENUM_KINDS)
+def test_enumerate_class_is_strictly_increasing(kind):
+    for n in range(7):
+        listed = list(words.enumerate_class(kind, n))
+        assert all(x < y for x, y in zip(listed, listed[1:])), (kind, n)
+        assert len(listed) == words.class_count(kind, n)
+
+
 def test_is_parking():
     assert words.is_parking(())
     assert words.is_parking((1, 1, 2))
