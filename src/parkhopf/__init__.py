@@ -9,7 +9,8 @@ Submodules:
   catalan   nondecreasing subalgebra and its graded dual, ribbons, g-series
   schroder  hypoplactic subquotient on evaluation/recoil classes
   symfun    symmetric and quasi-symmetric functions, cumulants
-  matreal   -- see matrices: the (0,1)-matrix realization
+  matrices  the packed (0,1)-matrix realization
+  algebras  the seven bases described once: parsers, structure maps, labels
   verify    replay/invariant suites and the acceptance gates
   cli       command-line entry point
 """

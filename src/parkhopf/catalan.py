@@ -105,9 +105,6 @@ def m_coproduct(pi: Word) -> Lin:
     return out
 
 
-m_comul = extend_linear(m_coproduct)
-
-
 def m_polynomial(pi: Word, k: int) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the M element in k commuting variables.
 
@@ -221,16 +218,6 @@ ribbon_mul = extend_bilinear(ribbon_product_via_p)
 
 # ---------------------------------------------------------------------------
 # noncommutative characteristics
-
-def ch_to_nsym(x: Lin) -> Lin:
-    """Send each M label to the complete generator word of its factor type."""
-    return x.map_labels(c_of_pi)
-
-
-def ch_to_nsym_ev(x: Lin) -> Lin:
-    """Variant statistic: evaluation composition instead of factor type."""
-    return x.map_labels(evaluation_composition)
-
 
 def g_series(order: int) -> list[Lin]:
     """Deg(0..order) coefficients of the fixed point g = sum_n S_n g^n.

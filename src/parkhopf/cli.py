@@ -12,10 +12,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import catalan, fbasis, gbasis, schroder, symfun, verify, words
-from .jsonio import (format_coeff, lin_to_json, lin_to_text, parse_word,
-                     render_word, tensor_to_json, tensor_to_text)
-from .linear import Lin, sorted_items
+from . import catalan, gbasis, symfun, verify, words
+from .algebras import ANTIPODE, BASES, COMUL, MUL
+from .jsonio import (format_coeff, lin_to_json, lin_to_text, render_word,
+                     tensor_to_json, tensor_to_text)
 
 ENUM_BOUND = 8
 SERIES_BOUND = 12
@@ -44,79 +44,16 @@ def _die(code: int, msg: str) -> int:
     return code
 
 
-def _emit(args, text: str, payload) -> None:
+def _emit(args, text: str | None, payload) -> None:
+    """Print text (None prints nothing) or JSON; also write JSON to --out."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
-    else:
+    elif text is not None:
         print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# basis plumbing
-
-def _parse_parking(text: str):
-    w = parse_word(text)
-    if not words.is_parking(w):
-        raise ValueError(f"not a parking function: {text}")
-    return w
-
-
-def _parse_catalan(text: str):
-    w = parse_word(text)
-    if not words.is_catalan_word(w):
-        raise ValueError(f"not a nondecreasing parking function: {text}")
-    return w
-
-
-def _parse_key(text: str):
-    return schroder.key_of_word(_parse_parking(text))
-
-
-def _render_key(key) -> str:
-    return render_word(schroder.representative(key))
-
-
-def _encode_key(key):
-    return {"ev": list(key[0]), "recoil": list(key[1])}
-
-
-BASES = {
-    # basis: (algebra, symbol, parse, render, json encoder)
-    "F": ("PQSym", "F_", _parse_parking, render_word, list),
-    "G": ("PQSym*", "G_", _parse_parking, render_word, list),
-    "P": ("CQSym", "P^", _parse_catalan, render_word, list),
-    "M": ("CQSym*", "M_", _parse_catalan, render_word, list),
-    "R": ("CQSym", "R_", _parse_catalan, render_word, list),
-    "Pq": ("SQSym", "Pq_", _parse_key, _render_key, _encode_key),
-    "Q": ("SQSym*", "Q_", _parse_key, _render_key, _encode_key),
-}
-
-MUL = {
-    "F": fbasis.f_product,
-    "G": gbasis.g_product,
-    "P": lambda a, b: Lin.basis(catalan.p_product(a, b)),
-    "M": catalan.m_product,
-    "R": catalan.ribbon_product_via_p,
-    "Pq": schroder.pq_product,
-    "Q": schroder.qq_product,
-}
-
-COMUL = {
-    "F": fbasis.f_coproduct,
-    "G": gbasis.g_coproduct,
-    "P": catalan.p_coproduct,
-    "M": catalan.m_coproduct,
-    "Pq": schroder.pq_coproduct,
-}
-
-ANTIPODE = {
-    "F": fbasis.f_antipode,
-    "G": lambda a: gbasis.g_antipode_lin(Lin.basis(a)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -137,73 +74,41 @@ def cmd_enum(args) -> int:
     except ValueError as exc:
         return _die(3, str(exc))
     if args.format == "text" and not args.out:
-        sys.stdout.writelines(render_word(a) + "\n" for a in listed)
+        try:
+            sys.stdout.writelines(render_word(a) + "\n" for a in listed)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`); the interpreter's final
+            # flush would fail again unless stdout goes somewhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     listed = list(listed)
-    payload = {"kind": args.kind, "n": args.n,
-               "words": [list(a) for a in listed]}
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for a in listed:
-            print(render_word(a))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    _emit(args, "\n".join(map(render_word, listed)) if listed else None,
+          {"kind": args.kind, "n": args.n, "words": [list(a) for a in listed]})
     return 0
 
 
-def _algebra_common(args, arity: int):
-    basis = args.basis
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    algebra, symbol, parse, render, encode = BASES[basis]
-    if len(args.labels) != arity:
-        raise ValueError(f"expected {arity} label(s), got {len(args.labels)}")
-    labels = [parse(t) for t in args.labels]
-    return algebra, symbol, labels, render, encode
+OPS = {
+    # command: (table, arity, noun, text renderer, JSON encoder)
+    "mul": (MUL, 2, "product", lin_to_text, lin_to_json),
+    "comul": (COMUL, 1, "coproduct", tensor_to_text, tensor_to_json),
+    "antipode": (ANTIPODE, 1, "antipode", lin_to_text, lin_to_json),
+}
 
 
-def cmd_mul(args) -> int:
+def cmd_op(args) -> int:
+    table, _arity, noun, to_text, to_json = OPS[args.command]
+    algebra, symbol, parse, render, encode = BASES[args.basis]
     try:
-        algebra, symbol, labels, render, encode = _algebra_common(args, 2)
-        op = MUL.get(args.basis)
+        labels = [parse(t) for t in args.labels]
+        op = table.get(args.basis)
         if op is None:
-            raise ValueError(f"product not available in basis {args.basis}")
+            raise ValueError(f"{noun} not available in basis {args.basis}")
         result = op(*labels)
     except ValueError as exc:
         return _die(3, str(exc))
-    _emit(args, lin_to_text(result, symbol, render),
-          lin_to_json(result, algebra, args.basis, encode))
-    return 0
-
-
-def cmd_comul(args) -> int:
-    try:
-        algebra, symbol, labels, render, encode = _algebra_common(args, 1)
-        op = COMUL.get(args.basis)
-        if op is None:
-            raise ValueError(f"coproduct not available in basis {args.basis}")
-        result = op(labels[0])
-    except ValueError as exc:
-        return _die(3, str(exc))
-    _emit(args, tensor_to_text(result, symbol, render),
-          tensor_to_json(result, algebra, args.basis, encode))
-    return 0
-
-
-def cmd_antipode(args) -> int:
-    try:
-        algebra, symbol, labels, render, encode = _algebra_common(args, 1)
-        op = ANTIPODE.get(args.basis)
-        if op is None:
-            raise ValueError(f"antipode not available in basis {args.basis}")
-        result = op(labels[0])
-    except ValueError as exc:
-        return _die(3, str(exc))
-    _emit(args, lin_to_text(result, symbol, render),
-          lin_to_json(result, algebra, args.basis, encode))
+    _emit(args, to_text(result, symbol, render),
+          to_json(result, algebra, args.basis, encode))
     return 0
 
 
@@ -316,13 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=cmd_enum)
 
-    for name, fn, nargs in (("mul", cmd_mul, 2), ("comul", cmd_comul, 1),
-                            ("antipode", cmd_antipode, 1)):
+    for name, (_table, arity, *_) in OPS.items():
         p = sub.add_parser(name, parents=[common],
                            help=f"{name} in a chosen basis")
         p.add_argument("--basis", choices=sorted(BASES), default="F")
-        p.add_argument("labels", nargs=nargs, metavar="WORD")
-        p.set_defaults(fn=fn)
+        p.add_argument("labels", nargs=arity, metavar="WORD")
+        p.set_defaults(fn=cmd_op)
 
     p = sub.add_parser("series", parents=[common],
                        help="print coefficient series")

@@ -117,19 +117,6 @@ def _f_in_mult_basis(n: int) -> dict[Word, Lin]:
     return invert_unitriangular(labels, f_mult_basis)
 
 
-def connected_decomposition(x: Lin) -> Lin:
-    """Rewrite x as a polynomial in the connected generators.
-
-    Output labels are tuples of connected parking functions, one per
-    generator factor of the monomial.
-    """
-    out = Lin()
-    for a, c in x.items():
-        row = _f_in_mult_basis(len(a))[a]
-        out += row.map_labels(connected_factorization).scale(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sums over enumerated classes
 

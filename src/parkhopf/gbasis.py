@@ -6,7 +6,6 @@ oracles obtained by dualizing the F-basis structure maps.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -116,10 +115,6 @@ def _unshuffle_table(n: int) -> dict[Word, Lin]:
 
 def g_coproduct_by_unshuffle(a: Word) -> Lin:
     return _unshuffle_table(len(a))[tuple(a)]
-
-
-def g_counit(x: Lin) -> Fraction:
-    return x.coeff(())
 
 
 def g_antipode_lin(x: Lin) -> Lin:

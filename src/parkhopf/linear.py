@@ -15,7 +15,6 @@ from itertools import chain
 from numbers import Rational
 from typing import Any, Callable, Iterable, Iterator
 
-Scalar = Fraction
 Label = Any
 
 

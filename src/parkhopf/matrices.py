@@ -48,17 +48,19 @@ def is_parking_matrix(m: Matrix) -> bool:
     return is_parking(reading(m))
 
 
-def word_matrices(a: Word) -> list[Matrix]:
-    """All packed matrices of width len(a) reading back to a.
+def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:
+    """All packed matrices of the given width (default len(a)) reading
+    back to a.
 
     Rows are consecutive strictly increasing blocks: cuts are forced at
     every non-ascent and free at every ascent.
     """
     a = tuple(a)
     n = len(a)
+    cols = n if width is None else width
     if not a:
         return [()]
-    if max(a) > n:
+    if max(a) > cols:
         return []
     ascents = [i for i in range(1, n) if a[i - 1] < a[i]]
     forced = [i for i in range(1, n) if a[i - 1] >= a[i]]
@@ -70,7 +72,7 @@ def word_matrices(a: Word) -> list[Matrix]:
         rows = []
         for lo, hi in zip([0] + cuts, cuts + [n]):
             block = set(a[lo:hi])
-            rows.append(tuple(1 if j + 1 in block else 0 for j in range(n)))
+            rows.append(tuple(1 if j + 1 in block else 0 for j in range(cols)))
         out.append(tuple(rows))
     return sorted(out)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
 from .linear import Lin, extend_bilinear, lin_sum

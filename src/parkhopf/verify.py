@@ -10,10 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations, product
+from math import prod
 
 from . import catalan, fbasis, gbasis, matrices, schroder, symfun, words
-from .linear import Lin, lin_sum, tensor, tensor_map, tensor_mul
+from .algebras import ANTIPODE, COMUL, LABELS, MUL
+from .linear import (Lin, dual_pairing, extend_bilinear, extend_linear,
+                     lin_sum, tensor, tensor_map, tensor_mul)
 
 OK = (True, "ok")
 
@@ -43,22 +46,26 @@ def _diff(tag: str, got, want) -> tuple[bool, str]:
     return _fail(f"{tag}: got {got!r}, want {want!r}")
 
 
-def _pf_upto(d: int):
-    for n in range(1, d + 1):
-        for a in sorted(words.parking_list(n)):
-            yield a
+def _upto(basis: str, top: int):
+    """Labels of the basis in degrees 1..top, degree by degree."""
+    for n in range(1, top + 1):
+        yield from LABELS[basis](n)
 
 
-def _pf_pairs(total: int):
+def _pairs(basis: str, total: int):
+    """Label pairs of positive degrees with degree sum at most total."""
     for na in range(1, total):
         for nb in range(1, total - na + 1):
-            for a in sorted(words.parking_list(na)):
-                for b in sorted(words.parking_list(nb)):
-                    yield a, b
+            yield from product(LABELS[basis](na), LABELS[basis](nb))
 
 
-def _catalan_labels(n: int):
-    return sorted(words.nondecreasing_parking_functions(n))
+def _triples(basis: str, total: int):
+    """Label triples of positive degrees with degree sum at most total."""
+    for na in range(1, total - 1):
+        for nb in range(1, total - na):
+            for nc in range(1, total - na - nb + 1):
+                yield from product(LABELS[basis](na), LABELS[basis](nb),
+                                   LABELS[basis](nc))
 
 
 # ---------------------------------------------------------------------------
@@ -202,141 +209,136 @@ def check_example_g_power(d: int = 0) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Hopf axioms
 
-def _triples(total_max: int):
-    for na in range(1, total_max - 1):
-        for nb in range(1, total_max - na):
-            for nc in range(1, total_max - na - nb + 1):
-                for a in sorted(words.parking_list(na)):
-                    for b in sorted(words.parking_list(nb)):
-                        for c in sorted(words.parking_list(nc)):
-                            yield a, b, c
+# Each axiom is written once, for a basis of the tables in `algebras`, and
+# checked on the labels (or tuples of labels) it is given.
+
+def associative(basis: str, triples) -> tuple[bool, str]:
+    mul, op = extend_bilinear(MUL[basis]), MUL[basis]
+    for a, b, c in triples:
+        if mul(op(a, b), Lin.basis(c)) != mul(Lin.basis(a), op(b, c)):
+            return _fail(f"{basis}: associativity fails at {a},{b},{c}")
+    return OK
 
 
-def _sample_words(rng: random.Random, n: int):
-    return rng.choice(sorted(words.parking_list(n)))
+def commutative(basis: str, pairs) -> tuple[bool, str]:
+    op = MUL[basis]
+    for a, b in pairs:
+        if op(a, b) != op(b, a):
+            return _fail(f"{basis}: product not commutative at {a},{b}")
+    return OK
+
+
+def coassociative(basis: str, labels) -> tuple[bool, str]:
+    op = COMUL[basis]
+    for a in labels:
+        t = op(a)
+        left = tensor_map(op, Lin.basis)(t).map_labels(
+            lambda x: (*x[0], x[1]))
+        right = tensor_map(Lin.basis, op)(t).map_labels(
+            lambda x: (x[0], *x[1]))
+        if left != right:
+            return _fail(f"{basis}: coassociativity fails at {a}")
+    return OK
+
+
+def cocommutative(basis: str, labels) -> tuple[bool, str]:
+    for a in labels:
+        t = COMUL[basis](a)
+        if t != t.map_labels(lambda uv: (uv[1], uv[0])):
+            return _fail(f"{basis}: coproduct of {a} not cocommutative")
+    return OK
+
+
+def counit(basis: str, labels) -> tuple[bool, str]:
+    """(counit x id) and (id x counit) of the coproduct give back the label;
+    the counit keeps the coefficient of the unit label."""
+    (unit,) = LABELS[basis](0)
+    for a in labels:
+        t = COMUL[basis](a)
+        left = lin_sum(Lin.basis(v, c) for (u, v), c in t.items() if u == unit)
+        right = lin_sum(Lin.basis(u, c) for (u, v), c in t.items() if v == unit)
+        if left != Lin.basis(a) or right != Lin.basis(a):
+            return _fail(f"{basis}: counit axiom fails at {a}")
+    return OK
+
+
+def compatible(basis: str, pairs) -> tuple[bool, str]:
+    """The coproduct of a product is the product of the coproducts."""
+    op, delta = MUL[basis], COMUL[basis]
+    comul, dmul = extend_linear(delta), tensor_mul(op)
+    for a, b in pairs:
+        if comul(op(a, b)) != dmul(delta(a), delta(b)):
+            return _fail(f"{basis}: bialgebra compatibility fails at {a},{b}")
+    return OK
+
+
+def antipode_identity(basis: str, labels) -> tuple[bool, str]:
+    """m(S x id)delta and m(id x S)delta vanish on labels of positive degree."""
+    mul, s = extend_bilinear(MUL[basis]), ANTIPODE[basis]
+    for a in labels:
+        t = COMUL[basis](a)
+        left = lin_sum(mul(s(u), Lin.basis(v)).scale(c) for (u, v), c in t.items())
+        right = lin_sum(mul(Lin.basis(u), s(v)).scale(c) for (u, v), c in t.items())
+        if left or right:
+            return _fail(f"{basis}: antipode convolution identity fails at {a}")
+    return OK
+
+
+def _sampled(seed: int, arity: int):
+    """Five seeded tuples of parking functions of total degree 5: the
+    degrees are drawn first, then one word of each degree."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(5):
+        sizes = []
+        for rest in range(arity - 1, 0, -1):
+            sizes.append(rng.randint(1, 5 - sum(sizes) - rest))
+        sizes.append(5 - sum(sizes))
+        out.append(tuple(rng.choice(LABELS["F"](k)) for k in sizes))
+    return out
 
 
 def check_f_associative(d: int = 4) -> tuple[bool, str]:
-    for a, b, c in _triples(min(d, 4)):
-        left = fbasis.f_mul(fbasis.f_product(a, b), Lin.basis(c))
-        right = fbasis.f_mul(Lin.basis(a), fbasis.f_product(b, c))
-        if left != right:
-            return _fail(f"associativity fails at {a},{b},{c}")
-    rng = random.Random(20260814)
-    for _ in range(5):
-        na = rng.randint(1, 3)
-        nb = rng.randint(1, 4 - na)
-        nc = 5 - na - nb
-        a, b, c = (_sample_words(rng, k) for k in (na, nb, nc))
-        left = fbasis.f_mul(fbasis.f_product(a, b), Lin.basis(c))
-        right = fbasis.f_mul(Lin.basis(a), fbasis.f_product(b, c))
-        if left != right:
-            return _fail(f"associativity fails at sampled {a},{b},{c}")
-    return OK
-
-
-def _coassoc_sides(a) -> tuple[Lin, Lin]:
-    t = fbasis.f_coproduct(a)
-    left, right = Lin(), Lin()
-    for (u, v), c in t.items():
-        for (p, q), c2 in fbasis.f_coproduct(u).items():
-            left += Lin.basis((p, q, v), c * c2)
-        for (p, q), c2 in fbasis.f_coproduct(v).items():
-            right += Lin.basis((u, p, q), c * c2)
-    return left, right
+    return associative("F", chain(_triples("F", min(d, 4)),
+                                  _sampled(20260814, 3)))
 
 
 def check_f_coassociative(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d, 5)):
-        left, right = _coassoc_sides(a)
-        if left != right:
-            return _fail(f"coassociativity fails at {a}")
-    return OK
+    return coassociative("F", _upto("F", min(d, 5)))
 
 
 def check_f_compatible(d: int = 4) -> tuple[bool, str]:
-    dmul = tensor_mul(fbasis.f_product)
-    for a, b in _pf_pairs(min(d, 4)):
-        left = fbasis.f_comul(fbasis.f_product(a, b))
-        right = dmul(fbasis.f_coproduct(a), fbasis.f_coproduct(b))
-        if left != right:
-            return _fail(f"bialgebra compatibility fails at {a},{b}")
-    rng = random.Random(7)
-    for _ in range(5):
-        na = rng.randint(1, 4)
-        a, b = _sample_words(rng, na), _sample_words(rng, 5 - na)
-        if fbasis.f_comul(fbasis.f_product(a, b)) != dmul(
-                fbasis.f_coproduct(a), fbasis.f_coproduct(b)):
-            return _fail(f"bialgebra compatibility fails at sampled {a},{b}")
-    return OK
+    return compatible("F", chain(_pairs("F", min(d, 4)), _sampled(7, 2)))
 
 
 def check_f_counit(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d, 5)):
-        t = fbasis.f_coproduct(a)
-        left = lin_sum(Lin.basis(v, c) for (u, v), c in t.items() if not u)
-        right = lin_sum(Lin.basis(u, c) for (u, v), c in t.items() if not v)
-        if left != Lin.basis(a) or right != Lin.basis(a):
-            return _fail(f"counit axiom fails at {a}")
-    return OK
+    return counit("F", _upto("F", min(d, 5)))
 
 
 def check_f_antipode_axiom(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d, 4)):
-        t = fbasis.f_coproduct(a)
-        left, right = Lin(), Lin()
-        for (u, v), c in t.items():
-            left += fbasis.f_mul(fbasis.f_antipode_lin(Lin.basis(u)),
-                                 Lin.basis(v)).scale(c)
-            right += fbasis.f_mul(Lin.basis(u),
-                                  fbasis.f_antipode_lin(Lin.basis(v))).scale(c)
-        want = Lin.basis(()) if not a else Lin()
-        if left != want or right != want:
-            return _fail(f"antipode convolution identity fails at {a}")
-    return OK
+    return antipode_identity("F", _upto("F", min(d, 4)))
 
 
 def check_g_compatible(d: int = 3) -> tuple[bool, str]:
-    dmul = tensor_mul(gbasis.g_product)
-    for a, b in _pf_pairs(min(d, 3)):
-        left = gbasis.g_comul(gbasis.g_product(a, b))
-        right = dmul(gbasis.g_coproduct(a), gbasis.g_coproduct(b))
-        if left != right:
-            return _fail(f"dual bialgebra compatibility fails at {a},{b}")
-    return OK
+    return compatible("G", _pairs("G", min(d, 3)))
 
 
 def check_p_cocommutative(d: int = 4) -> tuple[bool, str]:
-    for n in range(1, min(d, 5) + 1):
-        for pi in _catalan_labels(n):
-            t = catalan.p_coproduct(pi)
-            flipped = t.map_labels(lambda uv: (uv[1], uv[0]))
-            if t != flipped:
-                return _fail(f"coproduct of class {pi} not cocommutative")
-    return OK
+    return cocommutative("P", _upto("P", min(d, 5)))
 
 
 def check_p_compatible(d: int = 4) -> tuple[bool, str]:
-    dmul = tensor_mul(lambda a, b: Lin.basis(catalan.p_product(a, b)))
-    for n1 in range(1, min(d, 4)):
-        for n2 in range(1, min(d, 4) - n1 + 1):
-            for p1 in _catalan_labels(n1):
-                for p2 in _catalan_labels(n2):
-                    left = catalan.p_comul(Lin.basis(catalan.p_product(p1, p2)))
-                    right = dmul(catalan.p_coproduct(p1), catalan.p_coproduct(p2))
-                    if left != right:
-                        return _fail(f"class bialgebra fails at {p1},{p2}")
-    return OK
+    return compatible("P", _pairs("P", min(d, 4)))
 
 
 # ---------------------------------------------------------------------------
 # duality
 
 def check_duality_adjoint(d: int = 4) -> tuple[bool, str]:
-    for a, b in _pf_pairs(min(d, 4)):
+    for a, b in _pairs("F", min(d, 4)):
         if gbasis.g_product(a, b) != gbasis.g_product_by_duality(a, b):
             return _fail(f"product/coproduct adjointness fails at {a},{b}")
-    for a in _pf_upto(min(d, 4)):
+    for a in _upto("F", min(d, 4)):
         for (u, v), c in gbasis.g_coproduct(a).items():
             if fbasis.f_product(u, v).coeff(a) != c:
                 return _fail(f"coproduct/product adjointness fails at {a}")
@@ -344,7 +346,7 @@ def check_duality_adjoint(d: int = 4) -> tuple[bool, str]:
 
 
 def check_duality_unshuffle(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d, 5)):
+    for a in _upto("F", min(d, 5)):
         if gbasis.g_coproduct(a) != gbasis.g_coproduct_by_unshuffle(a):
             return _fail(f"breakpoint coproduct differs from unshuffle at {a}")
     return OK
@@ -353,12 +355,10 @@ def check_duality_unshuffle(d: int = 4) -> tuple[bool, str]:
 def check_duality_st_bases(d: int = 3) -> tuple[bool, str]:
     for n in range(1, min(d, 4) + 1):
         s, t = gbasis.st_dual_bases(n)
-        labels = sorted(words.parking_list(n))
+        labels = LABELS["F"](n)
         for b in labels:
             for x in labels:
                 want = Fraction(int(b == x))
-                from .linear import dual_pairing
-
                 if dual_pairing(s[b], fbasis.f_mult_basis(x)) != want:
                     return _fail(f"S basis not dual to products at {b},{x}")
                 if dual_pairing(t[b], gbasis.g_mult_basis(x)) != want:
@@ -484,19 +484,12 @@ def check_counts_type_partition(d: int = 4) -> tuple[bool, str]:
     for n in range(1, min(d, 7) + 1):
         total = sum(
             words.multinomial(n, i)
-            * _prod((k - 1) ** (k - 1) for k in i)
+            * prod((k - 1) ** (k - 1) for k in i)
             for i in words.compositions(n)
         )
         if total != words.pf_count(n):
             return _fail(f"type-class sizes do not partition the count at n={n}")
     return OK
-
-
-def _prod(xs) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +510,7 @@ def check_parkize_fixed_points(d: int = 5) -> tuple[bool, str]:
 
 def check_nc_roundtrip(d: int = 6) -> tuple[bool, str]:
     for n in range(1, min(d + 2, 8) + 1):
-        for pi in _catalan_labels(n):
+        for pi in LABELS["P"](n):
             blocks = words.nc_of_parking(pi)
             if not words.is_noncrossing(blocks):
                 return _fail(f"blocks of {pi} cross")
@@ -537,11 +530,11 @@ def check_prime_characterizations(d: int = 4) -> tuple[bool, str]:
             if words.is_prime(a) != (a not in shuffled):
                 return _fail(f"prime/shuffle characterization fails at {a}")
     for n in range(1, min(d + 3, 7) + 1):
-        for pi in _catalan_labels(n):
+        for pi in LABELS["P"](n):
             if words.is_prime(pi) != words.is_connected(pi):
                 return _fail(f"prime/connected disagree on sorted {pi}")
     for n in range(1, min(d + 2, 6) + 1):
-        for a in sorted(words.parking_list(n)):
+        for a in LABELS["F"](n):
             bps = words.breakpoints(a)
             gaps = tuple(b - a_ for a_, b in zip((0,) + bps, bps))
             if words.prime_type(a) != gaps:
@@ -551,7 +544,7 @@ def check_prime_characterizations(d: int = 4) -> tuple[bool, str]:
 
 def check_successor_order(d: int = 4) -> tuple[bool, str]:
     for n in range(1, min(d + 2, 6) + 1):
-        labels = _catalan_labels(n)
+        labels = LABELS["P"](n)
         for pi in labels:
             for s in words.successors(pi):
                 if not words.is_catalan_word(s):
@@ -564,7 +557,7 @@ def check_successor_order(d: int = 4) -> tuple[bool, str]:
 
 
 def check_antipode_routes(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d, 4)):
+    for a in _upto("F", min(d, 4)):
         if fbasis.f_antipode(a) != fbasis.f_antipode_by_recursion(a):
             return _fail(f"antipode routes disagree at {a}")
     return OK
@@ -576,7 +569,7 @@ def check_mult_basis(d: int = 4) -> tuple[bool, str]:
             inv = fbasis._f_in_mult_basis(n)
         except ValueError as exc:
             return _fail(f"product-basis transition at n={n}: {exc}")
-        for a in sorted(words.parking_list(n)):
+        for a in LABELS["F"](n):
             row = fbasis.f_mult_basis(a)
             if row.coeff(a) != 1 or min(row.labels()) != a:
                 return _fail(f"product basis not led by its label at {a}")
@@ -609,13 +602,13 @@ def check_prime_inclusion_exclusion(d: int = 4) -> tuple[bool, str]:
 
 
 def check_eta_morphism(d: int = 4) -> tuple[bool, str]:
-    for a, b in _pf_pairs(min(d, 4)):
+    for a, b in _pairs("F", min(d, 4)):
         left = fbasis.eta(fbasis.f_product(a, b))
         right = symfun.qs_f_product(fbasis.eta(Lin.basis(a)),
                                     fbasis.eta(Lin.basis(b)))
         if left != right:
             return _fail(f"descent projection not multiplicative at {a},{b}")
-    for a in _pf_upto(min(d, 4)):
+    for a in _upto("F", min(d, 4)):
         left = fbasis.f_coproduct(a).map_labels(
             lambda uv: (words.descent_composition(uv[0]) if uv[0] else (),
                         words.descent_composition(uv[1]) if uv[1] else ()))
@@ -638,30 +631,15 @@ def check_ones_coproduct(d: int = 4) -> tuple[bool, str]:
 def check_eta_star(d: int = 4) -> tuple[bool, str]:
     for n in range(1, min(d, 4) + 1):
         for i in words.compositions(n):
-            prod = Lin.basis(())
+            got = Lin.basis(())
             for part in i:
-                prod = gbasis.g_mul(prod, gbasis.eta_star(part))
-            want = lin_sum(
-                Lin.basis(a) for a in words.parking_list(n)
-                if _refines(i, words.descent_composition(a)))
-            if prod != want:
+                got = gbasis.g_mul(got, gbasis.eta_star(part))
+            coarser = set(words.coarsenings(i))
+            want = lin_sum(Lin.basis(a) for a in words.parking_list(n)
+                           if words.descent_composition(a) in coarser)
+            if got != want:
                 return _fail(f"dual descent embedding fails at {i}")
     return OK
-
-
-def _refines(i, j) -> bool:
-    """True when composition i refines j (same total, nested partial sums)."""
-    si = set()
-    acc = 0
-    for p in i[:-1]:
-        acc += p
-        si.add(acc)
-    acc = 0
-    sj = set()
-    for p in j[:-1]:
-        acc += p
-        sj.add(acc)
-    return sj <= si
 
 
 def check_prime_eval_counts(d: int = 4) -> tuple[bool, str]:
@@ -807,53 +785,28 @@ def check_cumulant_oracle(d: int = 4) -> tuple[bool, str]:
 
 def check_p_expand_embedding(d: int = 4) -> tuple[bool, str]:
     top = min(d, 5)
-    for n1 in range(1, top):
-        for n2 in range(1, top - n1 + 1):
-            for p1 in _catalan_labels(n1):
-                for p2 in _catalan_labels(n2):
-                    left = fbasis.f_mul(catalan.p_expand(p1),
-                                        catalan.p_expand(p2))
-                    right = catalan.p_expand(catalan.p_product(p1, p2))
-                    if left != right:
-                        return _fail(f"class-sum product fails at {p1},{p2}")
-    for n in range(1, top + 1):
-        for pi in _catalan_labels(n):
-            left = fbasis.f_comul(catalan.p_expand(pi))
-            right = tensor_map(catalan.p_expand, catalan.p_expand)(
-                catalan.p_coproduct(pi))
-            if left != right:
-                return _fail(f"class-sum coproduct fails at {pi}")
+    for p1, p2 in _pairs("P", top):
+        left = fbasis.f_mul(catalan.p_expand(p1), catalan.p_expand(p2))
+        if left != catalan.p_expand(catalan.p_product(p1, p2)):
+            return _fail(f"class-sum product fails at {p1},{p2}")
+    for pi in _upto("P", top):
+        left = fbasis.f_comul(catalan.p_expand(pi))
+        right = tensor_map(catalan.p_expand, catalan.p_expand)(
+            catalan.p_coproduct(pi))
+        if left != right:
+            return _fail(f"class-sum coproduct fails at {pi}")
     return OK
 
 
 def check_m_commutative_associative(d: int = 4) -> tuple[bool, str]:
     top = min(d, 4)
-    for n1 in range(1, top):
-        for n2 in range(1, top - n1 + 1):
-            for p1 in _catalan_labels(n1):
-                for p2 in _catalan_labels(n2):
-                    if catalan.m_product(p1, p2) != catalan.m_product(p2, p1):
-                        return _fail(f"dual class product not commutative at {p1},{p2}")
-    for n1 in range(1, top - 1):
-        for n2 in range(1, top - n1):
-            for n3 in range(1, top - n1 - n2 + 1):
-                for p1 in _catalan_labels(n1):
-                    for p2 in _catalan_labels(n2):
-                        for p3 in _catalan_labels(n3):
-                            left = catalan.m_mul(catalan.m_product(p1, p2),
-                                                 Lin.basis(p3))
-                            right = catalan.m_mul(Lin.basis(p1),
-                                                  catalan.m_product(p2, p3))
-                            if left != right:
-                                return _fail(
-                                    f"dual class product not associative at "
-                                    f"{p1},{p2},{p3}")
-    return OK
+    return _combine(commutative("M", _pairs("M", top)),
+                    associative("M", _triples("M", top)))
 
 
 def check_m_coproduct_duality(d: int = 4) -> tuple[bool, str]:
     for n in range(1, min(d, 5) + 1):
-        for pi in _catalan_labels(n):
+        for pi in LABELS["P"](n):
             for (u, v), c in catalan.m_coproduct(pi).items():
                 if (u and v) and Lin.basis(catalan.p_product(u, v)).coeff(pi) != c:
                     return _fail(f"deconcatenation not dual to products at {pi}")
@@ -862,24 +815,20 @@ def check_m_coproduct_duality(d: int = 4) -> tuple[bool, str]:
 
 def check_m_polynomial_realization(d: int = 4) -> tuple[bool, str]:
     k = min(d, 4) + 2
-    for n1 in range(1, min(d, 4)):
-        for n2 in range(1, min(d, 4) - n1 + 1):
-            for p1 in _catalan_labels(n1):
-                for p2 in _catalan_labels(n2):
-                    left: dict[tuple[int, ...], int] = {}
-                    for e1, c1 in catalan.m_polynomial(p1, k).items():
-                        for e2, c2 in catalan.m_polynomial(p2, k).items():
-                            key = tuple(x + y for x, y in zip(e1, e2))
-                            left[key] = left.get(key, 0) + c1 * c2
-                    right: dict[tuple[int, ...], int] = {}
-                    for pi, c in catalan.m_product(p1, p2).items():
-                        for expo, c2 in catalan.m_polynomial(pi, k).items():
-                            right[expo] = right.get(expo, 0) + c * c2
-                    left = {k2: v for k2, v in left.items() if v}
-                    right = {k2: v for k2, v in right.items() if v}
-                    if left != right:
-                        return _fail(
-                            f"polynomial realization breaks at {p1},{p2}")
+    for p1, p2 in _pairs("M", min(d, 4)):
+        left: dict[tuple[int, ...], int] = {}
+        for e1, c1 in catalan.m_polynomial(p1, k).items():
+            for e2, c2 in catalan.m_polynomial(p2, k).items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                left[key] = left.get(key, 0) + c1 * c2
+        right: dict[tuple[int, ...], int] = {}
+        for pi, c in catalan.m_product(p1, p2).items():
+            for expo, c2 in catalan.m_polynomial(pi, k).items():
+                right[expo] = right.get(expo, 0) + c * c2
+        left = {k2: v for k2, v in left.items() if v}
+        right = {k2: v for k2, v in right.items() if v}
+        if left != right:
+            return _fail(f"polynomial realization breaks at {p1},{p2}")
     return OK
 
 
@@ -910,7 +859,7 @@ def check_ribbon_triangularity(d: int = 4) -> tuple[bool, str]:
             table = catalan._r_in_p(n)
         except ValueError as exc:
             return _fail(f"ribbon transition at n={n}: {exc}")
-        for pi in _catalan_labels(n):
+        for pi in LABELS["P"](n):
             closure = words.successor_closure(pi)
             expansion = table[pi]
             if any(c not in (1, -1) for _, c in expansion.items()):
@@ -925,14 +874,8 @@ def check_ribbon_triangularity(d: int = 4) -> tuple[bool, str]:
 
 
 def _ribbon_law_counterexamples(top: int, law) -> list[tuple]:
-    bad = []
-    for n1 in range(1, top):
-        for n2 in range(1, top - n1 + 1):
-            for p1 in _catalan_labels(n1):
-                for p2 in _catalan_labels(n2):
-                    if law(p1, p2) != catalan.ribbon_product_via_p(p1, p2):
-                        bad.append((p1, p2))
-    return bad
+    return [(p1, p2) for p1, p2 in _pairs("R", top)
+            if law(p1, p2) != catalan.ribbon_product_via_p(p1, p2)]
 
 
 def check_ribbon_law(d: int = 4) -> tuple[bool, str]:
@@ -986,55 +929,48 @@ def report_g_routes(d: int = 4) -> tuple[bool, str]:
 
 def check_schroder_closure(d: int = 4) -> tuple[bool, str]:
     top = min(d, 4)
-    keys = {n: sorted(schroder.classes(n)) for n in range(top + 1)}
-    for n1 in range(1, top):
-        for n2 in range(1, top - n1 + 1):
-            for k1 in keys[n1]:
-                for k2 in keys[n2]:
-                    try:
-                        schroder.pq_product(k1, k2)
-                    except ValueError as exc:
-                        return _fail(f"class product not closed at {k1},{k2}: {exc}")
-    for n in range(1, top + 1):
-        for key in keys[n]:
-            try:
-                t = schroder.pq_coproduct(key)
-            except ValueError as exc:
-                return _fail(f"class coproduct not closed at {key}: {exc}")
-            for _, c in t.items():
-                if c != int(c) or c < 0:
-                    return _fail(f"class coproduct of {key} not nonnegative")
+    for k1, k2 in _pairs("Pq", top):
+        try:
+            schroder.pq_product(k1, k2)
+        except ValueError as exc:
+            return _fail(f"class product not closed at {k1},{k2}: {exc}")
+    for key in _upto("Pq", top):
+        try:
+            t = schroder.pq_coproduct(key)
+        except ValueError as exc:
+            return _fail(f"class coproduct not closed at {key}: {exc}")
+        for _, c in t.items():
+            if c != int(c) or c < 0:
+                return _fail(f"class coproduct of {key} not nonnegative")
     return OK
 
 
 def check_schroder_quotient(d: int = 3) -> tuple[bool, str]:
     top = min(d, 3)
-    for n1 in range(1, top + 1):
-        for key in sorted(schroder.classes(n1)):
-            members = schroder.class_members(key)
-            for n2 in range(1, top + 1):
-                for x in sorted(words.parking_list(n2)):
-                    ref = None
-                    for rep in members:
-                        got = gbasis.g_mul(Lin.basis(x), Lin.basis(rep)) \
-                            .map_labels(schroder.hypo_key)
-                        ref = got if ref is None else ref
-                        if got != ref:
-                            return _fail(
-                                f"quotient product depends on the representative "
-                                f"of {key} against {x}")
-                        got = gbasis.g_mul(Lin.basis(rep), Lin.basis(x)) \
-                            .map_labels(schroder.hypo_key)
-                        if gbasis.g_mul(Lin.basis(members[0]), Lin.basis(x)) \
-                                .map_labels(schroder.hypo_key) != got:
-                            return _fail(
-                                f"quotient product depends on the representative "
-                                f"of {key} against {x} (left)")
+    for key in _upto("Pq", top):
+        members = schroder.class_members(key)
+        for x in _upto("G", top):
+            ref = None
+            for rep in members:
+                got = gbasis.g_mul(Lin.basis(x), Lin.basis(rep)) \
+                    .map_labels(schroder.hypo_key)
+                ref = got if ref is None else ref
+                if got != ref:
+                    return _fail(
+                        f"quotient product depends on the representative "
+                        f"of {key} against {x}")
+                got = gbasis.g_mul(Lin.basis(rep), Lin.basis(x)) \
+                    .map_labels(schroder.hypo_key)
+                if gbasis.g_mul(Lin.basis(members[0]), Lin.basis(x)) \
+                        .map_labels(schroder.hypo_key) != got:
+                    return _fail(
+                        f"quotient product depends on the representative "
+                        f"of {key} against {x} (left)")
     return OK
 
 
 def check_matrix_product(d: int = 4) -> tuple[bool, str]:
-    for a, b in _pf_pairs(min(d, 4)):
+    for a, b in _pairs("F", min(d, 4)):
         left = matrices.mp_mul(matrices.word_class(a), matrices.word_class(b))
         right = lin_sum(matrices.word_class(c)
                         for c in words.shifted_shuffle(a, b))
@@ -1044,7 +980,7 @@ def check_matrix_product(d: int = 4) -> tuple[bool, str]:
 
 
 def check_matrix_coproduct(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d, 4)):
+    for a in _upto("F", min(d, 4)):
         left = matrices.mp_comul(matrices.word_class(a))
         right = Lin()
         for (u, v), c in fbasis.f_coproduct(a).items():
@@ -1055,41 +991,14 @@ def check_matrix_coproduct(d: int = 4) -> tuple[bool, str]:
     return OK
 
 
-def _packed_matrices(word, width: int):
-    n = len(word)
-    if n == 0:
-        yield ()
-        return
-    ascents = [i for i in range(1, n) if word[i - 1] < word[i]]
-    forced = [i for i in range(1, n) if word[i - 1] >= word[i]]
-    for extra in chain.from_iterable(
-            combinations(ascents, k) for k in range(len(ascents) + 1)):
-        cuts = sorted(forced + list(extra))
-        rows = []
-        for lo, hi in zip([0] + cuts, cuts + [n]):
-            block = set(word[lo:hi])
-            rows.append(tuple(1 if j + 1 in block else 0
-                              for j in range(width)))
-        yield tuple(rows)
-
-
-def _words_over(alphabet: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _words_over(alphabet, length - 1):
-        for x in range(1, alphabet + 1):
-            yield rest + (x,)
-
-
 def check_matrix_parkize(d: int = 4) -> tuple[bool, str]:
     top = min(d + 1, 5)
     for k in range(1, top + 1):
-        for word in _words_over(top, k):
+        for word in product(range(1, top + 1), repeat=k):
             for w in sorted({max(word), len(word), len(word) + 1}):
                 if w < max(word):
                     continue
-                for m in _packed_matrices(word, w):
+                for m in matrices.word_matrices(word, width=w):
                     r = matrices.reading(m)
                     dfct = words.defect(r)
                     if dfct != len(r) + 1 and any(row[dfct - 1] for row in m):
@@ -1106,13 +1015,13 @@ def check_matrix_parkize(d: int = 4) -> tuple[bool, str]:
 
 
 def check_word_matrices(d: int = 4) -> tuple[bool, str]:
-    for a in _pf_upto(min(d + 1, 5)):
+    for a in _upto("F", min(d + 1, 5)):
         for m in matrices.word_matrices(a):
             if matrices.reading(m) != a:
                 return _fail(f"matrix of {a} reads back differently")
             if not matrices.is_packed(m):
                 return _fail(f"matrix of {a} has a zero row")
-    for a in _pf_upto(min(d, 4)):
+    for a in _upto("F", min(d, 4)):
         perm = sorted(set(a)) == sorted(a)
         for m in matrices.word_matrices(a):
             if matrices.is_word_matrix(m) and not perm:
@@ -1123,7 +1032,7 @@ def check_word_matrices(d: int = 4) -> tuple[bool, str]:
 def check_s_primitive(d: int = 4) -> tuple[bool, str]:
     for n in range(1, min(d, 4) + 1):
         s, _t = gbasis.st_dual_bases(n)
-        for c in sorted(words.parking_list(n)):
+        for c in LABELS["F"](n):
             if not words.is_connected(c):
                 continue
             sc = s[c]

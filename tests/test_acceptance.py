@@ -11,6 +11,9 @@ FAIL line.
 """
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from parkhopf import verify
@@ -25,3 +28,12 @@ def test_criterion(k, capsys):
     with capsys.disabled():
         print(line, flush=True)
     assert ok, detail
+
+
+def test_registry_matches_the_recorded_verdict_table():
+    recorded = Path(__file__).resolve().parent.parent / "perfbench" \
+        / "verify_expected.json"
+    with open(recorded, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    assert [(f"{s}/{n}", k) for s, n, k, _ in verify.CHECKS] \
+        == [(r["check"], r["kind"]) for r in rows]

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,43 @@ def test_enum_text_streams_the_json_words(capsys):
     assert code == 0
     listed = ["".join(map(str, a)) for a in json.loads(doc)["words"]]
     assert text.splitlines() == listed and len(listed) == 92
+
+
+def test_enum_empty_class_with_out_file(capsys, tmp_path):
+    target = tmp_path / "f.json"
+    code, out, _ = run(capsys, "enum", "prime", "0", "--out", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text()) == {"kind": "prime", "n": 0,
+                                              "words": []}
+
+
+def test_enum_into_a_closed_pipe_exits_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "parkhopf.cli",
+                             "enum", "pf", "7"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1111111\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0 and err == b""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("comul", "--basis", "R", "1"), "coproduct not available in basis R"),
+    (("antipode", "--basis", "P", "1"), "antipode not available in basis P"),
+    (("mul", "--basis", "F", "1", "13"), "not a parking function: 13"),
+])
+def test_op_malformed_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err == f"parkhopf: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [("mul", "1"), ("mul", "--basis", "X", "1", "1")])
+def test_op_rejected_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_mul_text(capsys):
