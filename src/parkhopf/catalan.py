@@ -11,7 +11,8 @@ from collections import defaultdict
 from functools import lru_cache
 
 from .gbasis import convolution, parkization_fiber
-from .linear import Lin, extend_bilinear, extend_linear, invert_unitriangular
+from .linear import (Lin, _build, extend_bilinear, extend_linear,
+                     invert_unitriangular, lin_sum)
 from .symfun import ns_product
 from .words import (
     Composition,
@@ -39,10 +40,7 @@ def _check_label(pi: Word) -> Word:
 
 def p_expand(pi: Word) -> Lin:
     """P element as a sum of F terms: all rearrangements of the label."""
-    out = Lin()
-    for w in distinct_permutations(_check_label(pi)):
-        out += Lin.basis(w)
-    return out
+    return _build((w, 1) for w in distinct_permutations(_check_label(pi)))
 
 
 def p_product(p1: Word, p2: Word) -> Word:
@@ -59,14 +57,13 @@ def p_coproduct(pi: Word) -> Lin:
     pi = _check_label(pi)
     values = sorted(set(pi))
     mult = [pi.count(v) for v in values]
-    out = Lin()
-    for pick in _sub_multisets(mult):
-        left = tuple(v for v, k in zip(values, pick) for _ in range(k))
-        right = tuple(
-            v for v, k, m in zip(values, pick, mult) for _ in range(m - k)
-        )
-        out += Lin.basis((parkize(left), parkize(right)))
-    return out
+    return _build(((parkize(_repeat(values, pick)),
+                    parkize(_repeat(values, [m - k for k, m in zip(pick, mult)]))), 1)
+                  for pick in _sub_multisets(mult))
+
+
+def _repeat(values, counts) -> Word:
+    return tuple(v for v, k in zip(values, counts) for _ in range(k))
 
 
 def _sub_multisets(mult):
@@ -84,10 +81,7 @@ p_comul = extend_linear(p_coproduct)
 def m_product(p1: Word, p2: Word) -> Lin:
     """Dual product: convolution of fibers, sorted back to class labels."""
     p1, p2 = _check_label(p1), _check_label(p2)
-    out = Lin()
-    for c in convolution(p1, p2):
-        out += Lin.basis(tuple(sorted(c)))
-    return out
+    return _build((tuple(sorted(c)), 1) for c in convolution(p1, p2))
 
 
 m_mul = extend_bilinear(m_product)
@@ -97,12 +91,8 @@ def m_coproduct(pi: Word) -> Lin:
     """Deconcatenate at the points where the label splits."""
     pi = _check_label(pi)
     n = len(pi)
-    out = Lin()
-    for k in range(n + 1):
-        if 0 < k < n and pi[k] != k + 1:
-            continue
-        out += Lin.basis((pi[:k], tuple(x - k for x in pi[k:])))
-    return out
+    return _build(((pi[:k], tuple(x - k for x in pi[k:])), 1)
+                  for k in range(n + 1) if k in (0, n) or pi[k] == k + 1)
 
 
 def m_polynomial(pi: Word, k: int) -> dict[tuple[int, ...], int]:
@@ -134,12 +124,8 @@ def ev_composition(pi: Word) -> Composition:
 
 def gamma(i: Composition) -> Lin:
     """Sum of the M elements whose evaluation composition is i."""
-    n = sum(i)
-    out = Lin()
-    for pi in nondecreasing_parking_functions(n):
-        if evaluation_composition(pi) == tuple(i):
-            out += Lin.basis(pi)
-    return out
+    return _build((pi, 1) for pi in nondecreasing_parking_functions(sum(i))
+                  if evaluation_composition(pi) == tuple(i))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +133,7 @@ def gamma(i: Composition) -> Lin:
 
 def p_to_r(pi: Word) -> Lin:
     """P in the R-basis: sum over the successor closure of the label."""
-    out = Lin()
-    for rho in successor_closure(_check_label(pi)):
-        out += Lin.basis(rho)
-    return out
+    return _build((rho, 1) for rho in successor_closure(_check_label(pi)))
 
 
 @lru_cache(maxsize=None)
@@ -227,10 +210,8 @@ def g_series(order: int) -> list[Lin]:
     """
     g: list[Lin] = [Lin.basis(())]
     for m in range(1, order + 1):
-        total = Lin()
-        for n in range(1, m + 1):
-            total += ns_product(Lin.basis((n,)), _graded_power(g, n, m - n))
-        g.append(total)
+        g.append(lin_sum(ns_product(Lin.basis((n,)), _graded_power(g, n, m - n))
+                         for n in range(1, m + 1)))
     return g
 
 
@@ -238,13 +219,11 @@ def _graded_power(g: list[Lin], k: int, d: int) -> Lin:
     """Sum of all k-fold products of g-coefficients with total degree d."""
     cur: dict[int, Lin] = {0: Lin.basis(())}
     for _ in range(k):
-        nxt: dict[int, Lin] = defaultdict(Lin)
+        terms: dict[int, list[Lin]] = defaultdict(list)
         for d0, lin0 in cur.items():
             for j in range(d - d0 + 1):
-                term = ns_product(lin0, g[j])
-                if term:
-                    nxt[d0 + j] += term
-        cur = nxt
+                terms[d0 + j].append(ns_product(lin0, g[j]))
+        cur = {e: lin_sum(ts) for e, ts in terms.items()}
     return cur.get(d, Lin())
 
 
@@ -258,15 +237,10 @@ def g_weighted_coefficient_sum(n: int):
 
 def factor_type_sum(n: int) -> Lin:
     """Sum over degree-n labels of the factor-type generator word."""
-    out = Lin()
-    for pi in nondecreasing_parking_functions(n):
-        out += Lin.basis(c_of_pi(pi))
-    return out
+    return _build((c_of_pi(pi), 1) for pi in nondecreasing_parking_functions(n))
 
 
 def evaluation_type_sum(n: int) -> Lin:
     """Sum over degree-n labels of the evaluation-composition word."""
-    out = Lin()
-    for pi in nondecreasing_parking_functions(n):
-        out += Lin.basis(evaluation_composition(pi))
-    return out
+    return _build((evaluation_composition(pi), 1)
+                  for pi in nondecreasing_parking_functions(n))

@@ -10,10 +10,10 @@ recursion kept alongside as an independent oracle).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .linear import (Lin, _build, extend_bilinear, extend_linear,
-                     invert_unitriangular)
+                     invert_unitriangular, lin_sum)
 from .words import (
     Composition,
     Word,
@@ -89,11 +89,9 @@ def f_antipode_by_recursion(a: Word) -> Lin:
     a = _check_parking(a)
     if not a:
         return Lin.basis(())
-    out = Lin()
-    for k in range(len(a)):
-        out -= f_mul(f_antipode_by_recursion(parkize(a[:k])),
-                     Lin.basis(parkize(a[k:])))
-    return out
+    return _build((w, -c) for k in range(len(a))
+                  for w, c in f_mul(f_antipode_by_recursion(parkize(a[:k])),
+                                    Lin.basis(parkize(a[k:]))).items())
 
 
 f_antipode_lin = extend_linear(f_antipode)
@@ -146,20 +144,12 @@ def pf_sum(n: int) -> Lin:
 
 def ppf_inclusion_exclusion(n: int) -> Lin:
     """Prime-class sum recovered from full-class sums by sign inversion."""
-    out = Lin()
-    for i in compositions(n):
-        term = Lin.basis(())
-        for part in i:
-            term = f_mul(term, pf_sum(part))
-        out += term.scale(-1 if len(i) % 2 == 0 else 1)
-    return out
+    return lin_sum(reduce(f_mul, map(pf_sum, i), Lin.basis(()))
+                   .scale(-1 if len(i) % 2 == 0 else 1)
+                   for i in compositions(n))
 
 
 def eta(x: Lin) -> Lin:
     """Project to quasi-symmetric functions: F_a -> fundamental F of C(a)."""
     return x.map_labels(lambda a: descent_composition(a) if a else ())
 
-
-def j_embed(n: int) -> Lin:
-    """Image of the degree-n complete generator: F over the all-ones word."""
-    return Lin.basis((1,) * n)

@@ -7,7 +7,7 @@ oracles obtained by dualizing the F-basis structure maps.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .fbasis import _f_in_mult_basis, f_coproduct
@@ -62,11 +62,7 @@ def convolution(a1: Word, a2: Word) -> list[Word]:
 
 
 def g_product(a1: Word, a2: Word) -> Lin:
-    return lin_from_words(convolution(a1, a2))
-
-
-def lin_from_words(words) -> Lin:
-    return _build((w, 1) for w in words)
+    return _build((c, 1) for c in convolution(a1, a2))
 
 
 g_mul = extend_bilinear(g_product)
@@ -75,27 +71,16 @@ g_mul = extend_bilinear(g_product)
 def g_product_by_duality(a1: Word, a2: Word) -> Lin:
     """Slow route: read the structure constants off the F-coproduct."""
     n = len(a1) + len(a2)
-    out = Lin()
-    for c in parking_list(n):
-        coeff = f_coproduct(c).coeff((a1, a2))
-        if coeff:
-            out += Lin.basis(c, coeff)
-    return out
+    return _build((c, f_coproduct(c).coeff((a1, a2))) for c in parking_list(n))
 
 
 def g_coproduct(a: Word) -> Lin:
     """Cut at breakpoints: letters <= b to the left, the rest shifted down."""
     a = tuple(a)
-    out = Lin.basis(((), a)) + Lin.basis((a, ()))
-    if not a:
-        return Lin.basis(((), ()))
-    for b in breakpoints(a):
-        if b == len(a):
-            continue
-        left = tuple(x for x in a if x <= b)
-        right = tuple(x - b for x in a if x > b)
-        out += Lin.basis((left, right))
-    return out
+    return _build(chain([(((), a), 1)],
+                        (((tuple(x for x in a if x <= b),
+                           tuple(x - b for x in a if x > b)), 1)
+                         for b in breakpoints(a))))
 
 
 g_comul = extend_linear(g_coproduct)
@@ -104,13 +89,13 @@ g_comul = extend_linear(g_coproduct)
 @lru_cache(maxsize=None)
 def _unshuffle_table(n: int) -> dict[Word, Lin]:
     """Slow coproduct: dualize the shifted-shuffle product degreewise."""
-    table: dict[Word, Lin] = {a: Lin() for a in parking_list(n)}
+    terms: dict[Word, list] = {a: [] for a in parking_list(n)}
     for k in range(n + 1):
         for b in parking_list(k):
             for c in parking_list(n - k):
                 for w in shifted_shuffle(b, c):
-                    table[w] += Lin.basis((b, c))
-    return table
+                    terms[w].append(((b, c), 1))
+    return {a: _build(ts) for a, ts in terms.items()}
 
 
 def g_coproduct_by_unshuffle(a: Word) -> Lin:
@@ -119,33 +104,25 @@ def g_coproduct_by_unshuffle(a: Word) -> Lin:
 
 def g_antipode_lin(x: Lin) -> Lin:
     """Antipode via the defining convolution recursion."""
-    out = Lin()
-    for a, c in x.items():
-        out += _g_antipode(tuple(a)).scale(c)
-    return out
+    return _build((k, c * d) for a, c in x.items()
+                  for k, d in _g_antipode(tuple(a)).items())
 
 
 @lru_cache(maxsize=None)
 def _g_antipode(a: Word) -> Lin:
     if not a:
         return Lin.basis(())
-    out = Lin()
-    for (u, v), c in g_coproduct(a).items():
-        if len(u) == len(a):
-            continue
-        out -= g_mul(_g_antipode(u), Lin.basis(v)).scale(c)
-    return out
+    return _build((k, -c * d) for (u, v), c in g_coproduct(a).items()
+                  if len(u) < len(a)
+                  for k, d in g_mul(_g_antipode(u), Lin.basis(v)).items())
 
 
 def phi(sigma: Word) -> Lin:
     """Embedding of a permutation: sum of G_a over std(a) = sigma^{-1}."""
     sigma = tuple(sigma)
     target = inverse_permutation(sigma)
-    out = Lin()
-    for a in parking_list(len(sigma)):
-        if standardize(a) == target:
-            out += Lin.basis(a)
-    return out
+    return _build((a, 1) for a in parking_list(len(sigma))
+                  if standardize(a) == target)
 
 
 def g_mult_basis(x: Word) -> Lin:
@@ -173,22 +150,19 @@ def st_dual_bases(n: int) -> tuple[dict[Word, Lin], dict[Word, Lin]]:
 
     Returns (S, T): S[b] expands in G the functional dual to the
     F-multiplicative basis, T[b] does the same in F for the G side.
+    Each is the transpose of the inverse table: S[b] = sum_c inv_f[c][b] G_c.
     """
-    inv_f = _f_in_mult_basis(n)
-    inv_g = _g_in_mult_basis(n)
     labels = sorted(parking_list(n))
-    s = {b: lin_sum_over(labels, lambda c: inv_f[c].coeff(b)) for b in labels}
-    t = {b: lin_sum_over(labels, lambda c: inv_g[c].coeff(b)) for b in labels}
-    return s, t
+    return (_transpose(labels, _f_in_mult_basis(n)),
+            _transpose(labels, _g_in_mult_basis(n)))
 
 
-def lin_sum_over(labels, coeff_of) -> Lin:
-    out = Lin()
+def _transpose(labels: list[Word], table: dict[Word, Lin]) -> dict[Word, Lin]:
+    columns: dict[Word, list] = {b: [] for b in labels}
     for c in labels:
-        v = coeff_of(c)
-        if v:
-            out += Lin.basis(c, v)
-    return out
+        for b, v in table[c].items():
+            columns[b].append((c, v))
+    return {b: _build(ts) for b, ts in columns.items()}
 
 
 def lie_generator_series(order: int) -> list[int]:
@@ -217,4 +191,4 @@ def lie_generator_series(order: int) -> list[int]:
 
 def eta_star(n: int) -> Lin:
     """Image of the degree-n complete function: sum of nondecreasing G_a."""
-    return lin_from_words(nondecreasing_parking_functions(n))
+    return _build((a, 1) for a in nondecreasing_parking_functions(n))

@@ -3,9 +3,14 @@
 A Lin is an immutable-ish sparse vector: a dict from label to nonzero
 Fraction.  Labels can be anything hashable — words, pairs of words for tensor
 squares, compositions — so every algebra in the package shares this one class
-and the handful of free functions below.  Sums of many terms go through
-``_build``, which fills one fresh dict in place and freezes it; a Lin that
-has been returned is never mutated, so cached results can be shared.
+and the handful of free functions below.
+
+There is one way to sum many terms: ``_build`` (for (label, coefficient)
+pairs) or ``lin_sum`` (for Lins), which fill one fresh dict in place and
+freeze it.  ``+`` and ``-`` are two-operand conveniences; each copies its
+left operand, so a loop of ``+=`` copies the running sum on every term.  A
+Lin that has been returned is never mutated, so cached results can be
+shared.
 """
 
 from __future__ import annotations
@@ -72,16 +77,7 @@ class Lin:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Lin") -> "Lin":
-        out = dict(self._t)
-        for k, c in other._t.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = Lin()
-        r._t = out
-        return r
+        return self._plus(other._t.items())
 
     def __neg__(self) -> "Lin":
         r = Lin()
@@ -89,7 +85,19 @@ class Lin:
         return r
 
     def __sub__(self, other: "Lin") -> "Lin":
-        return self + (-other)
+        return self._plus((k, -c) for k, c in other._t.items())
+
+    def _plus(self, terms: Iterable[tuple[Label, Fraction]]) -> "Lin":
+        out = dict(self._t)
+        for k, c in terms:
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        r = Lin()
+        r._t = out
+        return r
 
     def scale(self, c) -> "Lin":
         c = _coerce(c)
@@ -174,17 +182,8 @@ def extend_bilinear(f: Callable[[Label, Label], Lin]) -> Callable[[Lin, Lin], Li
 
 def tensor(u: Lin, v: Lin) -> Lin:
     """Tensor product; labels become (label_u, label_v) pairs."""
-    out = Lin()
-    acc = out._t
-    for k1, c1 in u.items():
-        for k2, c2 in v.items():
-            key = (k1, k2)
-            s = acc.get(key, Fraction(0)) + c1 * c2
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return out
+    return _build(((k1, k2), c1 * c2) for k1, c1 in u.items()
+                  for k2, c2 in v.items())
 
 
 def dual_pairing(u: Lin, v: Lin) -> Fraction:
@@ -209,10 +208,9 @@ def tensor_map(left: Callable[[Label], Lin], right: Callable[[Label], Lin]) -> C
     """Apply label maps to the two legs of a tensor element."""
 
     def apply(x: Lin) -> Lin:
-        out = Lin()
-        for (a, b), c in x.items():
-            out += tensor(left(a), right(b)).scale(c)
-        return out
+        return _build(((k1, k2), c * c1 * c2) for (a, b), c in x.items()
+                      for k1, c1 in left(a).items()
+                      for k2, c2 in right(b).items())
 
     return apply
 
@@ -254,24 +252,3 @@ def invert_unitriangular(
                                           for kc in inv[k].scale(-c).items())))
     return inv
 
-
-def graded_dimension(vectors: list[Lin]) -> int:
-    """Rank of a finite family of Lin vectors (exact Gaussian elimination).
-
-    Pivots are taken at the minimal remaining label, so every stored
-    vector is supported on labels at or above its pivot and each
-    reduction strictly raises the working pivot.
-    """
-    basis: dict[Label, Lin] = {}  # pivot label -> vector with 1 there
-    rank = 0
-    for v in vectors:
-        w = v
-        while w:
-            pivot = min(w.labels(), key=term_key)
-            if pivot in basis:
-                w = w - basis[pivot].scale(w.coeff(pivot))
-            else:
-                basis[pivot] = w.scale(Fraction(1) / w.coeff(pivot))
-                rank += 1
-                break
-    return rank

@@ -2,14 +2,14 @@
 
 A word is spread over matrices whose rows cut it into strictly
 increasing blocks; the product interleaves rows of two matrices in all
-covering ways, and the coproduct splits rows (or, optionally, columns)
-followed by matrix parkization.
+covering ways, and the coproduct splits the rows followed by matrix
+parkization.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .linear import Lin, extend_bilinear, extend_linear
+from .linear import Lin, _build, extend_bilinear, extend_linear
 from .words import Word, defect, is_parking
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -79,10 +79,7 @@ def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:
 
 def word_class(a: Word) -> Lin:
     """Sum of all matrices reading back to a."""
-    out = Lin()
-    for m in word_matrices(a):
-        out += Lin.basis(m)
-    return out
+    return _build((m, 1) for m in word_matrices(a))
 
 
 def augmented_shuffle(p: Matrix, q: Matrix) -> list[Matrix]:
@@ -128,40 +125,18 @@ def matrix_parkize(m: Matrix) -> Matrix:
 
 
 def mp_product(p: Matrix, q: Matrix) -> Lin:
-    out = Lin()
-    for m in augmented_shuffle(p, q):
-        out += Lin.basis(m)
-    return out
+    return _build((m, 1) for m in augmented_shuffle(p, q))
 
 
 mp_mul = extend_bilinear(mp_product)
 
 
-def mp_coproduct(m: Matrix, mode: str = "rows") -> Lin:
-    """Split into two matrices and parkize both halves.
-
-    mode "rows" cuts the row list; mode "columns" cuts the column list
-    and drops rows emptied by the cut.
-    """
+def mp_coproduct(m: Matrix) -> Lin:
+    """Cut the row list in two and parkize both halves."""
     m = _normalize(m)
-    out = Lin()
-    if mode == "rows":
-        for k in range(len(m) + 1):
-            out += Lin.basis((matrix_parkize(m[:k]), matrix_parkize(m[k:])))
-        return out
-    if mode == "columns":
-        w = width(m)
-        for j in range(w + 1):
-            left = tuple(row[:j] for row in m if any(row[:j]))
-            right = tuple(row[j:] for row in m if any(row[j:]))
-            out += Lin.basis((matrix_parkize(left), matrix_parkize(right)))
-        return out
-    raise ValueError(f"unknown coproduct mode {mode!r}")
+    return _build(((matrix_parkize(m[:k]), matrix_parkize(m[k:])), 1)
+                  for k in range(len(m) + 1))
 
 
 mp_comul = extend_linear(mp_coproduct)
 
-
-def reading_classes(x: Lin) -> Lin:
-    """Collapse a matrix-indexed element to words via the reading map."""
-    return x.map_labels(reading)

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .fbasis import f_comul, f_mul
 from .gbasis import g_mul
-from .linear import Lin
+from .linear import Lin, _build
 from .words import (
     Word,
     descent_composition,
@@ -72,10 +72,7 @@ def representative(key: Key) -> Word:
 
 def pq_expand(key: Key) -> Lin:
     """Class sum in the F-basis."""
-    out = Lin()
-    for a in class_members(key):
-        out += Lin.basis(a)
-    return out
+    return _build((a, 1) for a in class_members(key))
 
 
 def _regroup(x: Lin) -> Lin:
@@ -87,14 +84,14 @@ def _regroup(x: Lin) -> Lin:
     buckets: dict[Key, dict[Word, object]] = {}
     for a, c in x.items():
         buckets.setdefault(hypo_key(a), {})[a] = c
-    out = Lin()
+    out = {}
     for key, found in buckets.items():
         members = class_members(key)
         coeffs = set(found.values())
         if len(found) != len(members) or len(coeffs) != 1:
             raise ValueError(f"not constant on class {key}")
-        out += Lin.basis(key, coeffs.pop())
-    return out
+        out[key] = coeffs.pop()
+    return _build(out.items())
 
 
 def pq_product(k1: Key, k2: Key) -> Lin:
@@ -107,14 +104,14 @@ def pq_coproduct(key: Key) -> Lin:
     buckets: dict[tuple[Key, Key], dict[tuple[Word, Word], object]] = {}
     for (u, v), c in f_comul(pq_expand(key)).items():
         buckets.setdefault((hypo_key(u), hypo_key(v)), {})[(u, v)] = c
-    out = Lin()
+    out = {}
     for (ku, kv), found in buckets.items():
         size = len(class_members(ku)) * len(class_members(kv))
         coeffs = set(found.values())
         if len(found) != size or len(coeffs) != 1:
             raise ValueError(f"not constant on class pair {(ku, kv)}")
-        out += Lin.basis((ku, kv), coeffs.pop())
-    return out
+        out[(ku, kv)] = coeffs.pop()
+    return _build(out.items())
 
 
 def qq_product(k1: Key, k2: Key, rep1: Word | None = None, rep2: Word | None = None) -> Lin:

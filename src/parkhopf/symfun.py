@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .linear import Lin, extend_bilinear, lin_sum
+from .linear import Lin, _build, extend_bilinear, lin_sum, tensor_map
 from .series import SeriesOps, rational_series
 from .words import (
     Composition,
@@ -47,11 +47,8 @@ def _merge(parts1: Partition, parts2: Partition) -> Partition:
 
 def _mul_multiplicative(a: Lin, b: Lin) -> Lin:
     """Product when the basis is multiplicative (e or h): labels merge."""
-    out = Lin()
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            out += Lin.basis(_merge(k1, k2), c1 * c2)
-    return out
+    return _build((_merge(k1, k2), c1 * c2) for k1, c1 in a.items()
+                  for k2, c2 in b.items())
 
 
 # -- e <-> h ----------------------------------------------------------------
@@ -61,22 +58,8 @@ def _e_in_h(n: int) -> Lin:
     """e_n expanded over h-partition labels via e_n = sum (-1)^(k-1) h_k e_(n-k)."""
     if n == 0:
         return Lin.basis(())
-    out = Lin()
-    for k in range(1, n + 1):
-        sign = 1 if k % 2 else -1
-        out += _e_in_h(n - k).map_labels(lambda lam, k=k: _merge(lam, (k,))).scale(sign)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _h_in_e(n: int) -> Lin:
-    if n == 0:
-        return Lin.basis(())
-    out = Lin()
-    for k in range(1, n + 1):
-        sign = 1 if k % 2 else -1
-        out += _h_in_e(n - k).map_labels(lambda lam, k=k: _merge(lam, (k,))).scale(sign)
-    return out
+    return _build((_merge(lam, (k,)), c if k % 2 else -c) for k in range(1, n + 1)
+                  for lam, c in _e_in_h(n - k).items())
 
 
 def _product_expand(lam: Partition, factor) -> Lin:
@@ -112,13 +95,7 @@ def _margin_matrix_count(rows: Partition, cols: tuple[int, ...]) -> int:
 
 
 def _h_label_in_m(lam: Partition) -> Lin:
-    n = sum(lam)
-    out = Lin()
-    for mu in partitions(n):
-        c = _margin_matrix_count(lam, mu)
-        if c:
-            out += Lin.basis(mu, c)
-    return out
+    return _build((mu, _margin_matrix_count(lam, mu)) for mu in partitions(sum(lam)))
 
 
 def _solve_exact(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -143,14 +120,8 @@ def _m_in_h(n: int) -> dict[Partition, Lin]:
     labels = list(partitions(n))
     mat = [[Fraction(_margin_matrix_count(lam, mu)) for mu in labels] for lam in labels]
     inv = _solve_exact(mat)
-    out = {}
-    for j, mu in enumerate(labels):
-        v = Lin()
-        for i, lam in enumerate(labels):
-            if inv[i][j]:
-                v += Lin.basis(lam, inv[i][j])
-        out[mu] = v
-    return out
+    return {mu: _build((lam, inv[i][j]) for i, lam in enumerate(labels))
+            for j, mu in enumerate(labels)}
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +174,9 @@ class Sym:
             )
             return Sym("h", in_h).to(basis)
         if self.basis == "h" and basis == "e":
+            # omega swaps e and h, so h_n over e has the coefficients of e_n over h
             vec = lin_sum(
-                _product_expand(lam, _h_in_e).scale(c) for lam, c in self.vec.items()
+                _product_expand(lam, _e_in_h).scale(c) for lam, c in self.vec.items()
             )
             return Sym("e", vec)
         if self.basis == "h" and basis == "m":
@@ -213,13 +185,9 @@ class Sym:
             )
             return Sym("m", vec)
         if self.basis == "m":
-            table_by_degree: dict[int, dict[Partition, Lin]] = {}
-            vec = Lin()
-            for lam, c in self.vec.items():
-                n = sum(lam)
-                if n not in table_by_degree:
-                    table_by_degree[n] = _m_in_h(n)
-                vec += table_by_degree[n][lam].scale(c)
+            vec = lin_sum(
+                _m_in_h(sum(lam))[lam].scale(c) for lam, c in self.vec.items()
+            )
             return Sym("h", vec).to(basis)
         raise ValueError(f"no conversion {self.basis} -> {basis}")
 
@@ -298,14 +266,9 @@ def h_star_closed(n: int) -> Sym:
 
 def star(x: Sym) -> Sym:
     """Algebra endomorphism determined by h_n -> h_n*; an involution."""
-    x = x.to("h")
-    out = Lin()
-    for lam, c in x.vec.items():
-        term = Lin.basis(())
-        for part in lam:
-            term = _mul_multiplicative(term, h_star(part).vec)
-        out += term.scale(c)
-    return Sym("h", out)
+    return Sym("h", lin_sum(
+        _product_expand(lam, lambda part: h_star(part).vec).scale(c)
+        for lam, c in x.to("h").vec.items()))
 
 
 def e_star(n: int) -> Sym:
@@ -330,7 +293,7 @@ def prime_characteristic_closed(n: int) -> Sym:
         raise ValueError("defined for n >= 1")
     if n == 1:
         return Sym.h((1,))
-    out = Lin()
+    terms = []
     for lam in partitions(n):
         ln = len(lam)
         binom = comb(n - 1, ln)
@@ -339,8 +302,8 @@ def prime_characteristic_closed(n: int) -> Sym:
         mult = factorial(ln)
         for m in _multiplicities(lam).values():
             mult //= factorial(m)
-        out += Lin.basis(lam, Fraction(binom * mult, n - 1))
-    return Sym("h", out)
+        terms.append((lam, Fraction(binom * mult, n - 1)))
+    return Sym("h", _build(terms))
 
 
 def _multiplicities(lam: Partition) -> dict[int, int]:
@@ -361,27 +324,23 @@ def type_characteristic(i: Composition) -> Sym:
 def type_characteristic_by_words(i: Composition) -> Sym:
     """Oracle route: sum h over evaluations of nondecreasing members of the type class."""
     n = sum(i)
-    out = Lin()
-    for a in nondecreasing_parking_functions(n):
-        if prime_type(a) == tuple(i):
-            lam = partition_of(p for p in evaluation(a, n) if p)
-            out += Lin.basis(lam)
-    return Sym("h", out)
+    return Sym("h", _build((_evaluation_partition(a), 1)
+                           for a in nondecreasing_parking_functions(n)
+                           if prime_type(a) == tuple(i)))
 
 
 def parking_characteristic(n: int) -> Sym:
-    out = Sym.zero()
-    for i in compositions(n):
-        out = out + type_characteristic(i)
-    return out
+    return Sym("h", lin_sum(type_characteristic(i).to("h").vec
+                            for i in compositions(n)))
 
 
 def parking_characteristic_by_words(n: int) -> Sym:
-    out = Lin()
-    for a in nondecreasing_parking_functions(n):
-        lam = partition_of(p for p in evaluation(a, n) if p)
-        out += Lin.basis(lam)
-    return Sym("h", out)
+    return Sym("h", _build((_evaluation_partition(a), 1)
+                           for a in nondecreasing_parking_functions(n)))
+
+
+def _evaluation_partition(a) -> Partition:
+    return partition_of(p for p in evaluation(a, len(a)) if p)
 
 
 def prime_eval_count(lam) -> int:
@@ -415,11 +374,8 @@ def prime_eval_count(lam) -> int:
 def ribbon_h(j: Composition) -> Sym:
     """Inclusion-exclusion ribbon r_J over the h basis."""
     j = tuple(j)
-    out = Lin()
-    for k in coarsenings(j):
-        sign = 1 if (len(j) - len(k)) % 2 == 0 else -1
-        out += Lin.basis(partition_of(k), sign)
-    return Sym("h", out)
+    return Sym("h", _build((partition_of(k), (-1) ** (len(j) - len(k)))
+                           for k in coarsenings(j)))
 
 
 def hall_pairing(x: Sym, y: Sym) -> Fraction:
@@ -499,10 +455,10 @@ def quasi_shuffle(i: Composition, j: Composition) -> Lin:
         return Lin.basis(tuple(j))
     if not j:
         return Lin.basis(tuple(i))
-    out = quasi_shuffle(i[1:], j).map_labels(lambda k: (i[0],) + k)
-    out += quasi_shuffle(i, j[1:]).map_labels(lambda k: (j[0],) + k)
-    out += quasi_shuffle(i[1:], j[1:]).map_labels(lambda k: (i[0] + j[0],) + k)
-    return out
+    return lin_sum((
+        quasi_shuffle(i[1:], j).map_labels(lambda k: (i[0],) + k),
+        quasi_shuffle(i, j[1:]).map_labels(lambda k: (j[0],) + k),
+        quasi_shuffle(i[1:], j[1:]).map_labels(lambda k: (i[0] + j[0],) + k)))
 
 
 def qs_m_product(x: Lin, y: Lin) -> Lin:
@@ -510,20 +466,12 @@ def qs_m_product(x: Lin, y: Lin) -> Lin:
 
 
 def qs_f_to_m(x: Lin) -> Lin:
-    out = Lin()
-    for i, c in x.items():
-        for j in refinements(i):
-            out += Lin.basis(j, c)
-    return out
+    return _build((j, c) for i, c in x.items() for j in refinements(i))
 
 
 def qs_m_to_f(x: Lin) -> Lin:
-    out = Lin()
-    for i, c in x.items():
-        for j in refinements(i):
-            sign = 1 if (len(j) - len(i)) % 2 == 0 else -1
-            out += Lin.basis(j, c * sign)
-    return out
+    return _build((j, c * (-1) ** (len(j) - len(i)))
+                  for i, c in x.items() for j in refinements(i))
 
 
 def qs_f_product(x: Lin, y: Lin) -> Lin:
@@ -531,30 +479,19 @@ def qs_f_product(x: Lin, y: Lin) -> Lin:
 
 
 def qs_m_coproduct(x: Lin) -> Lin:
-    out = Lin()
-    for i, c in x.items():
-        for k in range(len(i) + 1):
-            out += Lin.basis((i[:k], i[k:]), c)
-    return out
+    return _build(((i[:k], i[k:]), c) for i, c in x.items()
+                  for k in range(len(i) + 1))
 
 
 def qs_f_coproduct(x: Lin) -> Lin:
-    split = qs_m_coproduct(qs_f_to_m(x))
-    out = Lin()
-    for (left, right), c in split.items():
-        out += extend_bilinear(lambda a, b: Lin.basis((a, b)))(
-            qs_m_to_f(Lin.basis(left)), qs_m_to_f(Lin.basis(right))
-        ).scale(c)
-    return out
+    m_to_f = lambda i: qs_m_to_f(Lin.basis(i))
+    return tensor_map(m_to_f, m_to_f)(qs_m_coproduct(qs_f_to_m(x)))
 
 
 def sym_to_qsym_m(x: Sym) -> Lin:
     """Expand over QSym monomials: m_lam -> sum of its distinct rearrangements."""
-    out = Lin()
-    for lam, c in x.to("m").vec.items():
-        for alpha in distinct_permutations(lam):
-            out += Lin.basis(alpha, c)
-    return out
+    return _build((alpha, c) for lam, c in x.to("m").vec.items()
+                  for alpha in distinct_permutations(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -564,26 +501,7 @@ def ns_product(x: Lin, y: Lin) -> Lin:
     return extend_bilinear(lambda i, j: Lin.basis(tuple(i) + tuple(j)))(x, y)
 
 
-def ns_s_to_r(x: Lin) -> Lin:
-    out = Lin()
-    for i, c in x.items():
-        for k in coarsenings(i):
-            out += Lin.basis(k, c)
-    return out
-
-
-def ns_r_to_s(x: Lin) -> Lin:
-    out = Lin()
-    for i, c in x.items():
-        for k in coarsenings(i):
-            sign = 1 if (len(i) - len(k)) % 2 == 0 else -1
-            out += Lin.basis(k, c * sign)
-    return out
-
 
 def ns_image(x: Lin) -> Sym:
     """Commutative image S_n -> h_n of an S-basis element."""
-    out = Lin()
-    for i, c in x.items():
-        out += Lin.basis(partition_of(i), c)
-    return Sym("h", out)
+    return Sym("h", x.map_labels(partition_of))

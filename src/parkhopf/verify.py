@@ -15,8 +15,8 @@ from math import prod
 
 from . import catalan, fbasis, gbasis, matrices, schroder, symfun, words
 from .algebras import ANTIPODE, COMUL, LABELS, MUL
-from .linear import (Lin, dual_pairing, extend_bilinear, extend_linear,
-                     lin_sum, tensor, tensor_map, tensor_mul)
+from .linear import (Lin, _build, dual_pairing, extend_bilinear,
+                     extend_linear, lin_sum, tensor, tensor_map, tensor_mul)
 
 OK = (True, "ok")
 
@@ -30,10 +30,7 @@ def _flin(*ws: str) -> Lin:
 
 
 def _tens(*pairs) -> Lin:
-    out = Lin()
-    for u, v, *c in pairs:
-        out += Lin.basis((_w(u), _w(v)), c[0] if c else 1)
-    return out
+    return _build(((_w(u), _w(v)), c[0] if c else 1) for u, v, *c in pairs)
 
 
 def _fail(msg: str) -> tuple[bool, str]:
@@ -372,10 +369,9 @@ def check_classic_convolution(d: int = 4) -> tuple[bool, str]:
             n = na + nb
             for sig in permutations(range(1, na + 1)):
                 for tau in permutations(range(1, nb + 1)):
-                    got = Lin()
-                    for c, coef in gbasis.g_product(sig, tau).items():
-                        if sorted(c) == list(range(1, n + 1)):
-                            got += Lin.basis(c, coef)
+                    got = _build(
+                        (c, coef) for c, coef in gbasis.g_product(sig, tau).items()
+                        if sorted(c) == list(range(1, n + 1)))
                     want = lin_sum(
                         Lin.basis(c)
                         for c in permutations(range(1, n + 1))
@@ -400,11 +396,9 @@ def check_phi_morphism(d: int = 4) -> tuple[bool, str]:
                         return _fail(f"phi product fails at {sig},{tau}")
     for n in range(1, min(d, 4) + 1):
         for sig in permutations(range(1, n + 1)):
-            classic = Lin()
-            for k in range(n + 1):
-                u, v = sig[:k], sig[k:]
-                classic += Lin.basis(
-                    (words.standardize(u), words.standardize(v)))
+            classic = _build(
+                ((words.standardize(sig[:k]), words.standardize(sig[k:])), 1)
+                for k in range(n + 1))
             left = tensor_map(gbasis.phi, gbasis.phi)(classic)
             right = gbasis.g_comul(gbasis.phi(sig))
             if left != right:
@@ -690,13 +684,13 @@ def check_star_involution(d: int = 4) -> tuple[bool, str]:
             return _fail(f"elementary star routes differ at n={n}")
     rng = random.Random(99)
     for _ in range(10):
-        vec = Lin()
+        terms = []
         for _ in range(3):
             n = rng.randint(1, 4)
             lam = tuple(sorted((rng.randint(1, n) for _ in range(2)),
                                reverse=True))
-            vec += Lin.basis(lam, rng.randint(-3, 3))
-        x = symfun.Sym("h", vec)
+            terms.append((lam, rng.randint(-3, 3)))
+        x = symfun.Sym("h", _build(terms))
         if symfun.star(symfun.star(x)) != x:
             return _fail("star not involutive on a random element")
     return OK
@@ -982,10 +976,8 @@ def check_matrix_product(d: int = 4) -> tuple[bool, str]:
 def check_matrix_coproduct(d: int = 4) -> tuple[bool, str]:
     for a in _upto("F", min(d, 4)):
         left = matrices.mp_comul(matrices.word_class(a))
-        right = Lin()
-        for (u, v), c in fbasis.f_coproduct(a).items():
-            right += tensor(matrices.word_class(u),
-                            matrices.word_class(v)).scale(c)
+        right = tensor_map(matrices.word_class,
+                           matrices.word_class)(fbasis.f_coproduct(a))
         if left != right:
             return _fail(f"grouped matrix coproduct fails at {a}")
     return OK
@@ -1036,11 +1028,8 @@ def check_s_primitive(d: int = 4) -> tuple[bool, str]:
             if not words.is_connected(c):
                 continue
             sc = s[c]
-            reduced = gbasis.g_comul(sc)
-            reduced -= lin_sum(Lin.basis(((), a), coef)
-                               for a, coef in sc.items())
-            reduced -= lin_sum(Lin.basis((a, ()), coef)
-                               for a, coef in sc.items())
+            one = Lin.basis(())
+            reduced = gbasis.g_comul(sc) - tensor(one, sc) - tensor(sc, one)
             if reduced:
                 return _fail(f"dual basis element of {c} is not primitive")
     return OK

@@ -197,10 +197,6 @@ def mirror(w: Word) -> Word:
     return tuple(reversed(w))
 
 
-def is_anti_connected(w: Word) -> bool:
-    return is_connected(mirror(w))
-
-
 # ---------------------------------------------------------------------------
 # descents and compositions
 
@@ -335,11 +331,6 @@ def successor_closure(pi: Word) -> frozenset[Word]:
                 out.add(s)
                 stack.append(s)
     return frozenset(out)
-
-
-def order_leq(pi: Word, rho: Word) -> bool:
-    """True when rho is reachable from pi by successor moves."""
-    return rho in successor_closure(pi)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,6 @@ def test_eta_descent_projection():
 
 
 def test_j_embed():
-    assert fbasis.j_embed(3) == Lin.basis((1, 1, 1))
     assert verify.check_ones_coproduct(4)[0]
 
 

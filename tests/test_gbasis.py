@@ -100,6 +100,19 @@ def test_st_dual_bases():
     assert verify.check_s_primitive(3)[0]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_st_dual_bases_equal_the_coefficient_probes(n):
+    # reference: S[b] = sum_c inv_f[c].coeff(b) G_c, and T likewise from inv_g
+    labels = sorted(words.parking_list(n))
+    s, t = gbasis.st_dual_bases(n)
+    for got, inv in ((s, fbasis._f_in_mult_basis(n)),
+                     (t, gbasis._g_in_mult_basis(n))):
+        want = {b: lin_sum(Lin.basis(c, inv[c].coeff(b)) for c in labels)
+                for b in labels}
+        assert got == want
+        assert list(got) == labels
+
+
 def test_lie_series():
     assert gbasis.lie_generator_series(6) == [1, 2, 9, 80, 901, 12564]
 

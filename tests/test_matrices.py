@@ -1,10 +1,7 @@
 """Packed (0,1)-matrix realization."""
 from __future__ import annotations
 
-import pytest
-
 from parkhopf import matrices, verify
-from parkhopf.linear import Lin
 
 
 def test_reading():
@@ -63,15 +60,5 @@ def test_coproduct_matches_word_level():
 
 def test_coproduct_modes():
     m = ((1, 1, 0), (0, 1, 0))  # reads 122
-    rows = matrices.mp_coproduct(m, mode="rows")
-    cols = matrices.mp_coproduct(m, mode="columns")
-    assert rows != cols
+    rows = matrices.mp_coproduct(m)
     assert ((), m) in [lab for lab, _ in rows.items()]
-    with pytest.raises(ValueError):
-        matrices.mp_coproduct(m, mode="diagonal")
-
-
-def test_reading_classes():
-    x = Lin.basis(((1, 1, 0), (0, 1, 0))) + Lin.basis(
-        ((1, 0, 0), (0, 1, 0), (0, 1, 0)))
-    assert matrices.reading_classes(x) == Lin.basis((1, 2, 2), 2)
