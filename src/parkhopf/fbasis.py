@@ -56,7 +56,7 @@ def f_coproduct(a: Word) -> Lin:
 f_comul = extend_linear(f_coproduct)
 
 
-def counit(x: Lin) -> Fraction:
+def counit(x: Lin) -> int | Fraction:
     return x.coeff(())
 
 

@@ -7,7 +7,7 @@ oracles obtained by dualizing the F-basis structure maps.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations_with_replacement
 from math import comb
 
 from .fbasis import _f_in_mult_basis, f_coproduct
@@ -23,7 +23,6 @@ from .words import (
     mirror,
     nondecreasing_parking_functions,
     parking_list,
-    parkize,
     shifted_shuffle,
     standardize,
 )
@@ -32,20 +31,30 @@ from .words import (
 def parkization_fiber(a: Word, m: int) -> list[Word]:
     """All words over {1..m} whose parkization is a.
 
-    Parkization preserves the relative order pattern, so every fiber
-    element is the image of a under a strictly increasing relabelling
-    of its value set.
+    Parkization keeps the order pattern of a word and closes only the gaps
+    it must.  Walk the distinct values of a upward: a value at its cap (one
+    plus the number of letters below it) may sit any distance above its
+    predecessor in a fiber word, and every other gap is copied exactly.  So
+    a fiber word is a with each value raised by the shift of the last capped
+    value at or below it; the shifts are nondecreasing and keep the top
+    value <= m.
     """
     a = tuple(a)
     if not a:
         return [()] if m >= 0 else []
     values = sorted(set(a))
+    capped, owner, below = -1, [], 0  # owner[j]: last capped value <= values[j]
+    for v in values:
+        if not 1 <= v <= below + 1:
+            return []  # a is not a parking word
+        capped += v == below + 1
+        owner.append(capped)
+        below += a.count(v)
     out = []
-    for chosen in combinations(range(1, m + 1), len(values)):
-        relabel = dict(zip(values, chosen))
-        w = tuple(relabel[x] for x in a)
-        if parkize(w) == a:
-            out.append(w)
+    for shift in combinations_with_replacement(range(m - values[-1] + 1),
+                                               capped + 1):
+        relabel = {v: v + shift[j] for v, j in zip(values, owner)}
+        out.append(tuple(relabel[x] for x in a))
     return sorted(out)
 
 

@@ -1,9 +1,12 @@
 """Free modules over the rationals with hashable basis labels.
 
-A Lin is an immutable-ish sparse vector: a dict from label to nonzero
-Fraction.  Labels can be anything hashable — words, pairs of words for tensor
-squares, compositions — so every algebra in the package shares this one class
-and the handful of free functions below.
+A Lin is an immutable-ish sparse vector: a dict from label to a nonzero
+coefficient, stored as an ``int`` when it is integral and as a ``Fraction``
+otherwise (``_coerce`` is that normal form).  ``Fraction(2) == 2`` and the
+two hash alike, so equality does not depend on the form.  Labels can be
+anything hashable — words, pairs of words for tensor squares, compositions —
+so every algebra in the package shares this one class and the handful of
+free functions below.
 
 There is one way to sum many terms: ``_build`` (for (label, coefficient)
 pairs) or ``lin_sum`` (for Lins), which fill one fresh dict in place and
@@ -23,23 +26,28 @@ from typing import Any, Callable, Iterable, Iterator
 Label = Any
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c) -> int | Fraction:
+    """c as stored: an int when integral, a Fraction otherwise."""
+    if type(c) is int:
         return c
-    if isinstance(c, (int, Rational)):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"non-exact coefficient {c!r}")
+    if not isinstance(c, (Rational, str)):
+        raise TypeError(f"non-exact coefficient {c!r}")
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Lin:
-    """Finite rational linear combination of basis labels."""
+    """Finite rational linear combination of basis labels.
+
+    Each coefficient is nonzero, an int when integral and a Fraction
+    otherwise.
+    """
 
     __slots__ = ("_t",)
 
-    def __init__(self, terms: dict[Label, Fraction] | None = None):
-        self._t: dict[Label, Fraction] = {}
+    def __init__(self, terms: dict[Label, int | Fraction] | None = None):
+        self._t: dict[Label, int | Fraction] = {}
         if terms:
             for k, c in terms.items():
                 c = _coerce(c)
@@ -56,10 +64,10 @@ class Lin:
 
     # -- container protocol ------------------------------------------------
 
-    def coeff(self, label: Label) -> Fraction:
-        return self._t.get(label, Fraction(0))
+    def coeff(self, label: Label) -> int | Fraction:
+        return self._t.get(label, 0)
 
-    def items(self) -> Iterator[tuple[Label, Fraction]]:
+    def items(self) -> Iterator[tuple[Label, int | Fraction]]:
         return iter(self._t.items())
 
     def labels(self):
@@ -87,10 +95,12 @@ class Lin:
     def __sub__(self, other: "Lin") -> "Lin":
         return self._plus((k, -c) for k, c in other._t.items())
 
-    def _plus(self, terms: Iterable[tuple[Label, Fraction]]) -> "Lin":
+    def _plus(self, terms: Iterable[tuple[Label, int | Fraction]]) -> "Lin":
         out = dict(self._t)
         for k, c in terms:
             s = out.get(k, 0) + c
+            if type(s) is not int:
+                s = _coerce(s)
             if s:
                 out[k] = s
             else:
@@ -101,10 +111,9 @@ class Lin:
 
     def scale(self, c) -> "Lin":
         c = _coerce(c)
-        r = Lin()
-        if c:
-            r._t = {k: v * c for k, v in self._t.items()}
-        return r
+        if not c:
+            return Lin()
+        return _freeze({k: v * c for k, v in self._t.items()})
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction, Rational)):
@@ -136,17 +145,27 @@ class Lin:
 def _build(terms: Iterable[tuple[Label, Any]]) -> Lin:
     """Sum (label, coefficient) pairs into one fresh Lin.
 
-    The pairs are added into a private dict in place, zero sums are dropped
-    and the rest frozen with Fraction coefficients (int coefficients are
-    converted).  The result never shares its dict with any other Lin.
+    The pairs are added into a private dict in place and frozen by
+    ``_freeze``.  The result never shares its dict with any other Lin.
     """
     acc: dict[Label, Any] = {}
     get = acc.get
     for k, c in terms:
         acc[k] = get(k, 0) + c
+    return _freeze(acc)
+
+
+def _freeze(acc: dict[Label, Any]) -> Lin:
+    """Wrap a private dict of sums as a Lin, taking ownership of it.
+
+    Every sum that is not an int goes through ``_coerce``: an integral
+    Fraction becomes an int and a float raises.  Zero sums are dropped.
+    """
+    for k, c in acc.items():
+        if type(c) is not int:
+            acc[k] = _coerce(c)
     r = Lin()
-    r._t = {k: c if type(c) is Fraction else Fraction(c)
-            for k, c in acc.items() if c}
+    r._t = {k: c for k, c in acc.items() if c}
     return r
 
 
@@ -161,7 +180,7 @@ def term_key(label) -> tuple:
     return (len(label), label) if isinstance(label, tuple) else (0, label)
 
 
-def sorted_items(v: Lin) -> list[tuple[Label, Fraction]]:
+def sorted_items(v: Lin) -> list[tuple[Label, int | Fraction]]:
     return sorted(v.items(), key=lambda kv: term_key(kv[0]))
 
 
@@ -186,10 +205,10 @@ def tensor(u: Lin, v: Lin) -> Lin:
                   for k2, c2 in v.items())
 
 
-def dual_pairing(u: Lin, v: Lin) -> Fraction:
+def dual_pairing(u: Lin, v: Lin) -> int | Fraction:
     """<u, v> treating equal labels as dual pairs."""
     small, big = (u, v) if len(u) <= len(v) else (v, u)
-    return sum((c * big.coeff(k) for k, c in small.items()), Fraction(0))
+    return sum(c * big.coeff(k) for k, c in small.items())
 
 
 def tensor_mul(mul: Callable[[Label, Label], Lin]) -> Callable[[Lin, Lin], Lin]:

@@ -353,12 +353,14 @@ def check_duality_st_bases(d: int = 3) -> tuple[bool, str]:
     for n in range(1, min(d, 4) + 1):
         s, t = gbasis.st_dual_bases(n)
         labels = LABELS["F"](n)
+        f_prods = {x: fbasis.f_mult_basis(x) for x in labels}
+        g_prods = {x: gbasis.g_mult_basis(x) for x in labels}
         for b in labels:
             for x in labels:
-                want = Fraction(int(b == x))
-                if dual_pairing(s[b], fbasis.f_mult_basis(x)) != want:
+                want = int(b == x)
+                if dual_pairing(s[b], f_prods[x]) != want:
                     return _fail(f"S basis not dual to products at {b},{x}")
-                if dual_pairing(t[b], gbasis.g_mult_basis(x)) != want:
+                if dual_pairing(t[b], g_prods[x]) != want:
                     return _fail(f"T basis not dual to products at {b},{x}")
     return OK
 

@@ -1,6 +1,7 @@
 """Command-line contract: outputs, exit codes, bounds, JSON schema."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -219,3 +220,19 @@ def test_deterministic_output(capsys):
     first = run(capsys, "mul", "--basis", "F", "12", "11")
     second = run(capsys, "mul", "--basis", "F", "12", "11")
     assert first == second
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "cli_corpus.json"
+
+
+def test_cli_corpus_is_byte_identical(capsys, monkeypatch):
+    # the README's determinism promise: every recorded command prints the
+    # same bytes and exits with the same code
+    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
+    with open(CORPUS, encoding="utf-8") as fh:
+        commands = json.load(fh)["commands"]
+    assert len(commands) == 33
+    for cmd in commands:
+        code, out, _ = run(capsys, *cmd["argv"])
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert (code, digest) == (cmd["exit"], cmd["sha256"]), cmd["argv"]

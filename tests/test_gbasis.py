@@ -1,6 +1,9 @@
 """Dual basis: convolution product, breakpoint coproduct, dual bases."""
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from parkhopf import fbasis, gbasis, verify, words
@@ -32,6 +35,33 @@ def test_fiber_matches_brute_force(m):
 
         rec(())
         assert gbasis.parkization_fiber(a, m) == sorted(brute)
+
+
+def _fiber_by_relabelling(a, m):
+    # reference: try every increasing relabelling of the values, keep those
+    # that parkize back to a
+    if not a:
+        return [()] if m >= 0 else []
+    values = sorted(set(a))
+    out = []
+    for chosen in combinations(range(1, m + 1), len(values)):
+        relabel = dict(zip(values, chosen))
+        v = tuple(relabel[x] for x in a)
+        if words.parkize(v) == a:
+            out.append(v)
+    return sorted(out)
+
+
+FIBER_CASES = {f"n{n}": sorted(words.parking_list(n)) for n in range(5)}
+FIBER_CASES["n5-sample"] = random.Random(7).sample(sorted(words.parking_list(5)), 30)
+
+
+@pytest.mark.parametrize("group", FIBER_CASES)
+def test_fiber_matches_the_relabelling_reference(group):
+    for a in FIBER_CASES[group]:
+        n = len(a)
+        for m in range(n - 1, 2 * n + 2):  # m = n - 1 gives empty fibers
+            assert gbasis.parkization_fiber(a, m) == _fiber_by_relabelling(a, m), (a, m)
 
 
 def test_product_example():

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 import parkhopf
 from parkhopf import fbasis, gbasis
-from parkhopf.linear import (Lin, dual_pairing, extend_bilinear,
+from parkhopf.jsonio import lin_to_json, lin_to_text
+from parkhopf.linear import (Lin, _build, dual_pairing, extend_bilinear,
                              extend_linear, invert_unitriangular, lin_sum,
                              sorted_items, tensor, tensor_map, tensor_mul)
 
@@ -87,12 +88,49 @@ def test_lin_sum():
 
 
 def test_built_sums_drop_zeros_and_keep_fractions():
+    # an integral value is stored as an int, a non-integral one as a Fraction
     x = Lin.basis((1,), Fraction(1, 2)) + Lin.basis((2,))
     cancelled = lin_sum([x, -x])
     assert cancelled == Lin() and len(cancelled) == 0
     dup = extend_linear(lambda a: Lin.basis(a + a))
-    assert all(type(c) is Fraction for _, c in dup(x).items())
-    assert all(type(c) is Fraction for _, c in fbasis.f_product((1,), (1,)).items())
+    assert [type(c) for _, c in sorted_items(dup(x))] == [Fraction, int]
+    assert all(type(c) is int for _, c in fbasis.f_product((1,), (1,)).items())
+    two = Lin.basis((1,), Fraction(4, 2))
+    assert type(two.coeff((1,))) is int and two.coeff((1,)) == 2
+    half = two.scale(Fraction(1, 4))
+    assert half.coeff((1,)) == Fraction(1, 2) and type(half.coeff((1,))) is Fraction
+    for whole in (lin_sum([x, Lin.basis((1,), Fraction(1, 2))]), x + x,
+                  x.scale(2), x - Lin.basis((1,), Fraction(-1, 2))):
+        assert all(type(c) is int for _, c in whole.items()), whole
+
+
+def _raw(label, c) -> Lin:
+    """A Lin holding c as given, bypassing the coefficient normal form."""
+    x = Lin()
+    x._t = {label: c}
+    return x
+
+
+def test_integral_fraction_and_int_are_the_same_coefficient():
+    a = (1, 2)
+    for as_fraction in (Lin({a: Fraction(2)}), _raw(a, Fraction(2))):
+        as_int = Lin({a: 2})
+        assert as_fraction == as_int
+        assert lin_to_text(as_fraction, "F_") == lin_to_text(as_int, "F_") == "2*F_12"
+        assert lin_to_json(as_fraction, "PQSym", "F") \
+            == lin_to_json(as_int, "PQSym", "F")
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: _build([((1,), c)]),
+    lambda c: _build([((1,), c), ((1,), -c)]),
+    lambda c: lin_sum([Lin.basis((1,)), _raw((1,), c)]),
+    lambda c: Lin({(1,): c}),
+    lambda c: Lin.basis((1,)).scale(c),
+])
+def test_floats_are_rejected(make):
+    with pytest.raises(TypeError, match="non-exact"):
+        make(0.5)
 
 
 def test_mutating_a_built_result_cannot_reach_a_cache():
