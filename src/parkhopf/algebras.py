@@ -75,7 +75,7 @@ ANTIPODE = {
 
 
 def _parking_labels(n: int) -> list:
-    return sorted(words.parking_list(n))
+    return list(words.parking_list(n))
 
 
 def _catalan_labels(n: int) -> list:

@@ -111,8 +111,7 @@ def f_mult_basis(a: Word) -> Lin:
 
 @lru_cache(maxsize=None)
 def _f_in_mult_basis(n: int) -> dict[Word, Lin]:
-    labels = sorted(parking_list(n))
-    return invert_unitriangular(labels, f_mult_basis)
+    return invert_unitriangular(parking_list(n), f_mult_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,7 @@ def g_mult_basis(x: Word) -> Lin:
 
 @lru_cache(maxsize=None)
 def _g_in_mult_basis(n: int) -> dict[Word, Lin]:
-    labels = sorted(parking_list(n))
-    return invert_unitriangular(labels, g_mult_basis)
+    return invert_unitriangular(parking_list(n), g_mult_basis)
 
 
 def st_dual_bases(n: int) -> tuple[dict[Word, Lin], dict[Word, Lin]]:
@@ -161,12 +160,12 @@ def st_dual_bases(n: int) -> tuple[dict[Word, Lin], dict[Word, Lin]]:
     F-multiplicative basis, T[b] does the same in F for the G side.
     Each is the transpose of the inverse table: S[b] = sum_c inv_f[c][b] G_c.
     """
-    labels = sorted(parking_list(n))
+    labels = parking_list(n)
     return (_transpose(labels, _f_in_mult_basis(n)),
             _transpose(labels, _g_in_mult_basis(n)))
 
 
-def _transpose(labels: list[Word], table: dict[Word, Lin]) -> dict[Word, Lin]:
+def _transpose(labels: tuple[Word, ...], table: dict[Word, Lin]) -> dict[Word, Lin]:
     columns: dict[Word, list] = {b: [] for b in labels}
     for c in labels:
         for b, v in table[c].items():

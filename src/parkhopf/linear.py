@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 Label = Any
 
@@ -235,7 +235,7 @@ def tensor_map(left: Callable[[Label], Lin], right: Callable[[Label], Lin]) -> C
 
 
 def invert_unitriangular(
-    labels: list[Label],
+    labels: Sequence[Label],
     expand: Callable[[Label], Lin],
 ) -> dict[Label, Lin]:
     """Invert a change of basis that is unitriangular in the given label order.

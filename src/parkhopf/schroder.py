@@ -13,26 +13,46 @@ from functools import lru_cache
 from .fbasis import f_comul, f_mul
 from .gbasis import g_mul
 from .linear import Lin, _build
-from .words import (
-    Word,
-    descent_composition,
-    evaluation,
-    inverse_permutation,
-    is_parking,
-    parking_list,
-    standardize,
-)
+from .words import Word, is_parking, parking_list
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def hypo_key(w: Word) -> Key:
-    """Class invariant of a word: evaluation plus recoil composition."""
+    """Class invariant of a word: evaluation plus recoil composition.
+
+    The recoils are the descents of std(w)^-1, which lists the positions of
+    the 1s, then of the 2s, and so on.  It descends exactly where a value
+    first occurs before the last occurrence of the previous value present,
+    so one pass recording each value's count, first and last position
+    gives both parts of the key.
+    """
     w = tuple(w)
-    if not w:
-        return ((), ())
-    recoils = descent_composition(inverse_permutation(standardize(w)))
-    return evaluation(w, len(w)), recoils
+    n = len(w)
+    ev = [0] * n
+    first = [0] * n
+    last = [0] * n
+    for i, x in enumerate(w):
+        if x < 1:
+            raise ValueError(f"letters must be positive integers, got {x}")
+        if x > n:
+            raise ValueError(f"letter {x} exceeds evaluation length {n}")
+        if not ev[x - 1]:
+            first[x - 1] = i
+        ev[x - 1] += 1
+        last[x - 1] = i
+    recoils = []
+    run = end = 0  # current recoil part; last position of the previous value
+    for m, lo, hi in zip(ev, first, last):
+        if m:
+            if lo < end:
+                recoils.append(run)
+                run = 0
+            run += m
+            end = hi
+    if run:
+        recoils.append(run)
+    return tuple(ev), tuple(recoils)
 
 
 def key_of_word(a: Word) -> Key:
@@ -50,7 +70,7 @@ def key_degree(key: Key) -> int:
 def classes(n: int) -> dict[Key, tuple[Word, ...]]:
     """Degree-n parking functions grouped by class key."""
     by_key: dict[Key, list[Word]] = {}
-    for a in sorted(parking_list(n)):
+    for a in parking_list(n):
         by_key.setdefault(hypo_key(a), []).append(a)
     return {k: tuple(v) for k, v in by_key.items()}
 

@@ -279,9 +279,11 @@ def multinomial(n: int, parts) -> int:
 # evaluations and the successor order on nondecreasing parking functions
 
 def evaluation(w: Word, n: int) -> tuple[int, ...]:
-    """Multiplicity vector (m_1, ..., m_n); letters above n are rejected."""
+    """Multiplicity vector (m_1, ..., m_n); letters below 1 or above n are rejected."""
     ev = [0] * n
     for x in w:
+        if x < 1:
+            raise ValueError(f"letters must be positive integers, got {x}")
         if x > n:
             raise ValueError(f"letter {x} exceeds evaluation length {n}")
         ev[x - 1] += 1
@@ -391,40 +393,72 @@ def word_of_nc(blocks: Blocks) -> Word:
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _parking_words(n: int, prime: bool = False, connected: bool = False):
+    """Parking functions of length n, lexicographically; optionally prime or connected.
+
+    A prefix of length k extends to a word of the class exactly when no
+    threshold b has a deficit need[b] - #{letters <= b} above the n - k free
+    positions.  need[b] is b, and b + 1 below n for prime words.  A letter l
+    lifts only the thresholds >= l, so letters are tried upward with a running
+    maximum of the deficits below l, and the loop stops at the first letter
+    where that maximum exceeds the slack left after it.
+
+    For connected words, `opened` holds the prefix lengths k < n whose letters
+    are all <= k and after which no letter <= k has come yet: the split points
+    so far.  A letter l closes every open k >= l; a word is connected when it
+    ends with none open.
+    """
+    if n == 0:
+        if not (prime or connected):
+            yield ()
+        return
+    need = [b + 1 if prime and b < n else b for b in range(n + 1)]
+    counts = [0] * (n + 1)  # counts[v] = letters equal to v placed so far
+    word = [0] * n
+    opened: list[int] = []
+
+    def rec(k: int, top: int):
+        # k letters placed so far, the largest of them `top`
+        slack = n - k - 1
+        worst = seen = 0  # largest deficit below `letter`; letters < `letter`
+        for letter in range(1, n + 1):
+            word[k] = letter
+            if not slack:
+                if opened and letter > opened[0]:
+                    return
+                yield tuple(word)
+            else:
+                counts[letter] += 1
+                if connected:
+                    cut = len(opened)
+                    while cut and opened[cut - 1] >= letter:
+                        cut -= 1
+                    closed = opened[cut:]
+                    high = max(top, letter)
+                    opened[cut:] = [k + 1] if high <= k + 1 else []
+                    yield from rec(k + 1, high)
+                    opened[cut:] = closed
+                else:
+                    yield from rec(k + 1, top)
+                counts[letter] -= 1
+            # the next letter leaves threshold `letter` below it
+            seen += counts[letter]
+            if need[letter] - seen > worst:
+                worst = need[letter] - seen
+                if worst > slack:
+                    return
+
+    yield from rec(0, 0)
+
+
 def parking_functions(n: int):
     """Parking functions of length n, lexicographically."""
-    if n == 0:
-        yield ()
-        return
-    word: list[int] = []
-    below = [0] * (n + 1)  # below[b] = letters <= b placed so far
-
-    def feasible(k: int) -> bool:
-        slack = n - k
-        return all(below[b] + slack >= b for b in range(1, n + 1))
-
-    def rec():
-        k = len(word)
-        if k == n:
-            yield tuple(word)
-            return
-        for letter in range(1, n + 1):
-            word.append(letter)
-            for b in range(letter, n + 1):
-                below[b] += 1
-            if feasible(k + 1):
-                yield from rec()
-            for b in range(letter, n + 1):
-                below[b] -= 1
-            word.pop()
-
-    yield from rec()
+    return _parking_words(n)
 
 
 def prime_parking_functions(n: int):
-    for a in parking_functions(n):
-        if n >= 1 and is_prime(a):
-            yield a
+    """Prime parking functions of length n (no breakpoint below n), lexicographically."""
+    return _parking_words(n, prime=True)
 
 
 def nondecreasing_parking_functions(n: int):
@@ -446,9 +480,8 @@ def nondecreasing_parking_functions(n: int):
 
 
 def connected_parking_functions(n: int):
-    for a in parking_functions(n):
-        if n >= 1 and not _split_points(a):
-            yield a
+    """Connected parking functions of length n (no split point), lexicographically."""
+    return _parking_words(n, connected=True)
 
 
 ENUM_KINDS = ("pf", "prime", "nondecreasing", "connected")
@@ -468,7 +501,7 @@ def enumerate_class(kind: str, n: int):
 
 @lru_cache(maxsize=None)
 def parking_list(n: int) -> tuple[Word, ...]:
-    """Cached tuple of all parking functions of length n (intended for n <= 6)."""
+    """Cached tuple of all parking functions of length n, in lexicographic order."""
     return tuple(parking_functions(n))
 
 

@@ -1,6 +1,8 @@
 """Hypoplactic classes: keys, class sums, the quotient product."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from parkhopf import schroder, verify, words
@@ -16,6 +18,58 @@ def test_hypo_key_values():
     assert schroder.hypo_key(w("11")) == ((2, 0), (2,))
     assert schroder.hypo_key(w("12")) == ((1, 1), (2,))
     assert schroder.hypo_key(w("21")) == ((1, 1), (1, 1))
+
+
+def _reference_key(a):
+    # the composition hypo_key replaces: recoils of the standardized word
+    if not a:
+        return ((), ())
+    recoils = words.descent_composition(
+        words.inverse_permutation(words.standardize(a)))
+    return words.evaluation(a, len(a)), recoils
+
+
+def _seeded_words():
+    # letters <= len(w), each word with a repeated letter; parking or not
+    rng = random.Random(11)
+    out = []
+    for _ in range(50):
+        n = rng.randint(2, 7)
+        a = [rng.randint(1, n) for _ in range(n - 1)]
+        a.insert(rng.randrange(n), rng.choice(a))
+        out.append(tuple(a))
+    return out
+
+
+KEY_CASES = [a for n in range(6) for a in words.parking_list(n)] + _seeded_words()
+
+
+def test_hypo_key_matches_the_standardization_reference():
+    seeded = KEY_CASES[-50:]
+    assert sum(not words.is_parking(a) for a in seeded) >= 10
+    for a in KEY_CASES:
+        assert schroder.hypo_key(a) == _reference_key(a), a
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_classes_match_the_sorted_grouping(n):
+    want: dict = {}
+    for a in sorted(words.parking_list(n)):
+        want.setdefault(_reference_key(a), []).append(a)
+    got = schroder.classes(n)
+    assert list(got) == list(want)
+    assert got == {k: tuple(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (1, 0), (2, -1)])
+def test_hypo_key_rejects_letters_below_one(bad):
+    with pytest.raises(ValueError, match="positive integers"):
+        schroder.hypo_key(bad)
+
+
+def test_hypo_key_rejects_letters_above_length():
+    with pytest.raises(ValueError, match="exceeds evaluation length"):
+        schroder.hypo_key((1, 3))
 
 
 def test_key_of_word_rejects_non_parking():

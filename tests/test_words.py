@@ -1,6 +1,7 @@
 """Parking-function combinatorics: parkization, primes, orders, counts."""
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 import pytest
@@ -14,10 +15,34 @@ random_word = st.lists(st.integers(min_value=1, max_value=9),
 
 @pytest.mark.parametrize("kind", words.ENUM_KINDS)
 def test_enumerate_class_is_strictly_increasing(kind):
-    for n in range(7):
+    for n in range(8):
         listed = list(words.enumerate_class(kind, n))
         assert all(x < y for x, y in zip(listed, listed[1:])), (kind, n)
         assert len(listed) == words.class_count(kind, n)
+
+
+BRUTE_FILTERS = {
+    "pf": words.is_parking,
+    "prime": lambda w: words.is_parking(w) and words.is_prime(w),
+    "nondecreasing": words.is_catalan_word,
+    "connected": lambda w: words.is_parking(w) and words.is_connected(w),
+}
+
+
+@pytest.mark.parametrize("kind", words.ENUM_KINDS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerate_class_matches_brute_force(kind, n):
+    # product() runs lexicographically, so the filter is the reference order too
+    want = [w for w in itertools.product(range(1, n + 1), repeat=n)
+            if BRUTE_FILTERS[kind](w)]
+    assert list(words.enumerate_class(kind, n)) == want
+
+
+def test_enumerate_class_degree_zero():
+    assert list(words.enumerate_class("pf", 0)) == [()]
+    assert list(words.enumerate_class("nondecreasing", 0)) == [()]
+    assert list(words.enumerate_class("prime", 0)) == []
+    assert list(words.enumerate_class("connected", 0)) == []
 
 
 def test_is_parking():
@@ -92,6 +117,12 @@ def test_evaluation():
     assert words.evaluation((1, 1, 3), 3) == (2, 0, 1)
     assert words.word_of_evaluation((2, 0, 1)) == (1, 1, 3)
     assert words.evaluation_composition((1, 1, 3)) == (2, 1)
+
+
+@pytest.mark.parametrize("w", [(0, 1), (1, 0), (-1, 2)])
+def test_evaluation_rejects_letters_below_one(w):
+    with pytest.raises(ValueError, match="positive integers"):
+        words.evaluation(w, 2)
 
 
 def test_successors_and_closure():
