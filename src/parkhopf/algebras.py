@@ -79,7 +79,7 @@ def _parking_labels(n: int) -> list:
 
 
 def _catalan_labels(n: int) -> list:
-    return sorted(words.nondecreasing_parking_functions(n))
+    return list(words.nondecreasing_parking_functions(n))
 
 
 def _class_labels(n: int) -> list:

@@ -11,8 +11,7 @@ from collections import defaultdict
 from functools import lru_cache
 
 from .gbasis import convolution, parkization_fiber
-from .linear import (Lin, _build, extend_bilinear, extend_linear,
-                     invert_unitriangular, lin_sum)
+from .linear import Lin, _build, extend_bilinear, invert_unitriangular, lin_sum
 from .symfun import ns_product
 from .words import (
     Composition,
@@ -75,9 +74,6 @@ def _sub_multisets(mult):
             yield (k,) + rest
 
 
-p_comul = extend_linear(p_coproduct)
-
-
 def m_product(p1: Word, p2: Word) -> Lin:
     """Dual product: convolution of fibers, sorted back to class labels."""
     p1, p2 = _check_label(p1), _check_label(p2)
@@ -118,10 +114,6 @@ def c_of_pi(pi: Word) -> Composition:
     return tuple(len(f) for f in connected_factorization(_check_label(pi)))
 
 
-def ev_composition(pi: Word) -> Composition:
-    return evaluation_composition(_check_label(pi))
-
-
 def gamma(i: Composition) -> Lin:
     """Sum of the M elements whose evaluation composition is i."""
     return _build((pi, 1) for pi in nondecreasing_parking_functions(sum(i))
@@ -138,8 +130,7 @@ def p_to_r(pi: Word) -> Lin:
 
 @lru_cache(maxsize=None)
 def _r_in_p(n: int) -> dict[Word, Lin]:
-    labels = sorted(nondecreasing_parking_functions(n))
-    return invert_unitriangular(labels, p_to_r)
+    return invert_unitriangular(tuple(nondecreasing_parking_functions(n)), p_to_r)
 
 
 def r_to_p(pi: Word) -> Lin:

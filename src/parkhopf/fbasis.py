@@ -94,9 +94,6 @@ def f_antipode_by_recursion(a: Word) -> Lin:
                                     Lin.basis(parkize(a[k:]))).items())
 
 
-f_antipode_lin = extend_linear(f_antipode)
-
-
 # ---------------------------------------------------------------------------
 # the multiplicative basis indexed by maximal connected factorizations
 

@@ -33,16 +33,6 @@ def format_coeff(c) -> str:
     return str(Fraction(c))
 
 
-def _signed(parts: list[tuple[int, str]]) -> str:
-    chunks: list[str] = []
-    for sign, body in parts:
-        if not chunks:
-            chunks.append(body if sign > 0 else f"-{body}")
-        else:
-            chunks.append(f"{'+' if sign > 0 else '-'} {body}")
-    return " ".join(chunks)
-
-
 def _term_body(label, symbol: str, render) -> str:
     text = render(label)
     return f"{symbol}{text}" if text else "1"
@@ -52,31 +42,16 @@ def lin_to_text(x: Lin, symbol: str, render=render_word) -> str:
     """Deterministic rendering, graded-lexicographic term order."""
     if not x:
         return "0"
-    parts = []
+    chunks: list[str] = []
     for label, c in sorted_items(x):
         body = _term_body(label, symbol, render)
-        mag = abs(c)
-        if mag != 1:
-            body = f"{format_coeff(mag)}*{body}"
-        parts.append((1 if c > 0 else -1, body))
-    return _signed(parts)
-
-
-def tensor_to_text(x: Lin, symbol: str, render=render_word) -> str:
-    """Rendering for elements whose labels are pairs."""
-    if not x:
-        return "0"
-    parts = []
-    for (u, v), c in sorted_items(x):
-        body = (
-            f"{_term_body(u, symbol, render)} (x) "
-            f"{_term_body(v, symbol, render)}"
-        )
-        mag = abs(c)
-        if mag != 1:
-            body = f"{format_coeff(mag)}*{body}"
-        parts.append((1 if c > 0 else -1, body))
-    return _signed(parts)
+        if abs(c) != 1:
+            body = f"{format_coeff(abs(c))}*{body}"
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(chunks)
 
 
 def lin_to_json(x: Lin, algebra: str, basis: str, encode=None) -> dict:
@@ -93,14 +68,18 @@ def lin_to_json(x: Lin, algebra: str, basis: str, encode=None) -> dict:
     }
 
 
+def tensor_to_text(x: Lin, symbol: str, render=render_word) -> str:
+    """Rendering for elements whose labels are pairs: u (x) v per term."""
+    def pair(label) -> str:
+        u, v = label
+        return f"{_term_body(u, symbol, render)} (x) {_term_body(v, symbol, render)}"
+
+    return lin_to_text(x, "", pair)
+
+
 def tensor_to_json(x: Lin, algebra: str, basis: str, encode=None) -> dict:
+    """lin_to_json with each pair label encoded as [encode(u), encode(v)]."""
     if encode is None:
         encode = list
-    return {
-        "algebra": algebra,
-        "basis": basis,
-        "terms": [
-            {"idx": [encode(u), encode(v)], "c": format_coeff(c)}
-            for (u, v), c in sorted_items(x)
-        ],
-    }
+    return lin_to_json(x, algebra, basis,
+                       lambda label: [encode(label[0]), encode(label[1])])

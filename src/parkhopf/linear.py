@@ -138,9 +138,6 @@ class Lin:
         """Relabel basis elements, collecting collisions."""
         return _build((f(k), c) for k, c in self._t.items())
 
-    def support_sorted(self, key=None):
-        return sorted(self._t, key=key)
-
 
 def _build(terms: Iterable[tuple[Label, Any]]) -> Lin:
     """Sum (label, coefficient) pairs into one fresh Lin.

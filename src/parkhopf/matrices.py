@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .linear import Lin, _build, extend_bilinear, extend_linear
-from .words import Word, defect, is_parking
+from .words import Word, defect
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -42,10 +42,6 @@ def is_word_matrix(m: Matrix) -> bool:
     """Every column holds exactly one 1."""
     m = _normalize(m)
     return bool(m) and all(sum(col) == 1 for col in zip(*m))
-
-
-def is_parking_matrix(m: Matrix) -> bool:
-    return is_parking(reading(m))
 
 
 def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:

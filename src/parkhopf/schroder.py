@@ -95,43 +95,38 @@ def pq_expand(key: Key) -> Lin:
     return _build((a, 1) for a in class_members(key))
 
 
-def _regroup(x: Lin) -> Lin:
-    """Rewrite a word-indexed element as a key-indexed one.
+def _class_size(key: Key) -> int:
+    return len(class_members(key))
+
+
+def _regroup(x: Lin, key, size) -> Lin:
+    """Rewrite x over class keys: key(label) is the class of a label and
+    size(k) the number of labels in class k.
 
     Requires the coefficients to be constant on every class met, with
     the whole class present.
     """
-    buckets: dict[Key, dict[Word, object]] = {}
-    for a, c in x.items():
-        buckets.setdefault(hypo_key(a), {})[a] = c
+    buckets: dict = {}
+    for label, c in x.items():
+        buckets.setdefault(key(label), []).append(c)
     out = {}
-    for key, found in buckets.items():
-        members = class_members(key)
-        coeffs = set(found.values())
-        if len(found) != len(members) or len(coeffs) != 1:
-            raise ValueError(f"not constant on class {key}")
-        out[key] = coeffs.pop()
+    for k, coeffs in buckets.items():
+        if len(coeffs) != size(k) or len(set(coeffs)) != 1:
+            raise ValueError(f"not constant on class {k}")
+        out[k] = coeffs[0]
     return _build(out.items())
 
 
 def pq_product(k1: Key, k2: Key) -> Lin:
     """Product of class sums, regrouped into class sums."""
-    return _regroup(f_mul(pq_expand(k1), pq_expand(k2)))
+    return _regroup(f_mul(pq_expand(k1), pq_expand(k2)), hypo_key, _class_size)
 
 
 def pq_coproduct(key: Key) -> Lin:
     """Coproduct of a class sum, regrouped into pairs of class sums."""
-    buckets: dict[tuple[Key, Key], dict[tuple[Word, Word], object]] = {}
-    for (u, v), c in f_comul(pq_expand(key)).items():
-        buckets.setdefault((hypo_key(u), hypo_key(v)), {})[(u, v)] = c
-    out = {}
-    for (ku, kv), found in buckets.items():
-        size = len(class_members(ku)) * len(class_members(kv))
-        coeffs = set(found.values())
-        if len(found) != size or len(coeffs) != 1:
-            raise ValueError(f"not constant on class pair {(ku, kv)}")
-        out[(ku, kv)] = coeffs.pop()
-    return _build(out.items())
+    return _regroup(f_comul(pq_expand(key)),
+                    lambda uv: (hypo_key(uv[0]), hypo_key(uv[1])),
+                    lambda kk: _class_size(kk[0]) * _class_size(kk[1]))
 
 
 def qq_product(k1: Key, k2: Key, rep1: Word | None = None, rep2: Word | None = None) -> Lin:

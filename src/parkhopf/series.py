@@ -1,18 +1,15 @@
 """Truncated formal power series over an arbitrary exact coefficient ring.
 
 A series is a plain list [c_0, c_1, ..., c_order].  The coefficient ring is
-supplied as (zero, one, mul); coefficients must support + and -.  Fraction
-and Lin both qualify, which lets the same code drive numeric Lagrange
-inversion (cumulants) and inversion with symmetric-function coefficients
-(the star involution).
+supplied as (zero, one, mul); coefficients must support + and -.  Over
+Lin coefficients this drives the star involution (series reversion) and
+its Lagrange oracle (powers); Fraction coefficients work the same way.
 
 All operations truncate at the ring's fixed order; nothing here is lazy.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
 from typing import Callable, Sequence
 
 
@@ -27,10 +24,6 @@ class SeriesOps:
         out = list(f[: self.order + 1])
         out.extend(self.zero for _ in range(self.order + 1 - len(out)))
         return out
-
-    def add(self, f, g) -> list:
-        f, g = self.pad(f), self.pad(g)
-        return [a + b for a, b in zip(f, g)]
 
     def mul(self, f, g) -> list:
         f, g = self.pad(f), self.pad(g)
@@ -62,20 +55,6 @@ class SeriesOps:
             out[0] = out[0] + f[k]
         return out
 
-    def reciprocal(self, f) -> list:
-        """1/f for f with constant term one."""
-        f = self.pad(f)
-        if f[0] != self.one:
-            raise ValueError("reciprocal needs constant term one")
-        out = [self.one]
-        for k in range(1, self.order + 1):
-            acc = self.zero
-            for j in range(1, k + 1):
-                if f[j] != self.zero:
-                    acc = acc + self.cmul(f[j], out[k - j])
-            out.append(self.zero - acc)
-        return out
-
     def reversion(self, f) -> list:
         """Compositional inverse of f = t + c_2 t^2 + ...; same shape back.
 
@@ -95,7 +74,3 @@ class SeriesOps:
                     acc = acc + self.cmul(f[m], power[k])
             g[k] = self.zero - acc
         return g
-
-
-def rational_series(order: int) -> SeriesOps:
-    return SeriesOps(order, Fraction(0), Fraction(1), operator.mul)

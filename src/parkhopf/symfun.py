@@ -7,7 +7,8 @@ nonnegative-integer matrices with prescribed margins, m -> h by per-degree
 matrix inversion.  On top of that sit the star involution (Lagrange
 inversion of the complete-series datum), the characters of the symmetric
 group acting on (prime) parking functions, free moment/cumulant
-conversions, the Hall pairing, and inclusion-exclusion ribbons.
+conversions (one triangular recurrence from the R-transform), the Hall
+pairing, and inclusion-exclusion ribbons.
 
 QSym lives on composition labels (M quasi-shuffle, F by refinement sums,
 deconcatenation coproduct); NSym on composition labels (S concatenation,
@@ -16,12 +17,13 @@ S <-> R by coarsening sums, commutative image S_n -> h_n).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .linear import Lin, _build, extend_bilinear, lin_sum, tensor_map
-from .series import SeriesOps, rational_series
+from .series import SeriesOps
 from .words import (
     Composition,
     Partition,
@@ -158,10 +160,6 @@ class Sym:
         return Sym.term("m", parts, c)
 
     @staticmethod
-    def zero() -> "Sym":
-        return Sym("h", Lin())
-
-    @staticmethod
     def one() -> "Sym":
         return Sym.h(())
 
@@ -293,24 +291,18 @@ def prime_characteristic_closed(n: int) -> Sym:
         raise ValueError("defined for n >= 1")
     if n == 1:
         return Sym.h((1,))
-    terms = []
-    for lam in partitions(n):
-        ln = len(lam)
-        binom = comb(n - 1, ln)
-        if not binom:
-            continue
-        mult = factorial(ln)
-        for m in _multiplicities(lam).values():
-            mult //= factorial(m)
-        terms.append((lam, Fraction(binom * mult, n - 1)))
-    return Sym("h", _build(terms))
+    return Sym("h", _build((lam, _prime_orbits(lam)) for lam in partitions(n)))
 
 
-def _multiplicities(lam: Partition) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in lam:
-        out[p] = out.get(p, 0) + 1
-    return out
+def _prime_orbits(lam: Partition) -> Fraction:
+    """C(n-1, l) * l! / prod m_i! / (n-1) for lam of size n >= 2, length l
+    and part multiplicities m_i: the h_lam coefficient of the prime
+    characteristic, one per orbit of prime parking functions."""
+    n, ln = sum(lam), len(lam)
+    orbit_mult = factorial(ln)
+    for m in Counter(lam).values():
+        orbit_mult //= factorial(m)
+    return Fraction(comb(n - 1, ln) * orbit_mult, n - 1)
 
 
 def type_characteristic(i: Composition) -> Sym:
@@ -346,8 +338,8 @@ def _evaluation_partition(a) -> Partition:
 def prime_eval_count(lam) -> int:
     """Number of prime parking functions whose sorted evaluation equals lam.
 
-    Closed form: the orbit count (n-1 choose l) * l!/(prod mult!) / (n-1)
-    times the number of rearrangements of any word with that evaluation.
+    Closed form: the orbit count of ``_prime_orbits`` times the number of
+    rearrangements of any word with that evaluation.
     """
     lam = partition_of(lam)
     n = sum(lam)
@@ -355,15 +347,7 @@ def prime_eval_count(lam) -> int:
         raise ValueError("empty partition")
     if n == 1:
         return 1
-    ln = len(lam)
-    binom = comb(n - 1, ln)
-    if not binom:
-        return 0
-    orbit_mult = factorial(ln)
-    for m in _multiplicities(lam).values():
-        orbit_mult //= factorial(m)
-    orbits = Fraction(binom * orbit_mult, n - 1)
-    total = orbits * multinomial(n, lam)
+    total = _prime_orbits(lam) * multinomial(n, lam)
     assert total.denominator == 1
     return int(total)
 
@@ -387,31 +371,52 @@ def hall_pairing(x: Sym, y: Sym) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # moments and free cumulants
+#
+# The R-transform relation M(z) = 1 + sum_s r_s z^s M(z)^s (Nica-Speicher,
+# Lectures on the Combinatorics of Free Probability, Lecture 10) reads
+# m_k = sum_{s<=k} r_s [z^(k-s)] M(z)^s.  The s = k term is r_k itself and
+# the others need only m_(<k) and r_(<k): one triangular recurrence, solved
+# for r_k or for m_k.
 
 def _to_fracs(seq) -> list[Fraction]:
     return [Fraction(x) for x in seq]
 
 
+def _lower_terms(pw: list[list], ms: list[Fraction], rs: list[Fraction]) -> Fraction:
+    """The part sum_{s<k} r_s [z^(k-s)] M(z)^s of m_k, for k = len(pw).
+
+    pw[s][j] = [z^j] M(z)^s holds rows s < k with s + j < k on entry; each
+    row grows by its entry j = k - s, from row s - 1 times M, and row k
+    starts as [1].  Reads m_0 = 1, ..., m_(k-1) from ms and r_s from
+    rs[s - 1] for s < k.
+    """
+    k = len(pw)
+    pw[0].append(0)
+    for s in range(1, k):
+        j, prev = k - s, pw[s - 1]
+        pw[s].append(sum(ms[i] * prev[j - i] for i in range(j + 1)))
+    pw.append([1])
+    return sum(rs[s - 1] * pw[s][k - s] for s in range(1, k))
+
+
 def moments_to_cumulants(moments) -> list[Fraction]:
-    """Free cumulants by compositional inversion of the moment series."""
-    ms = _to_fracs(moments)
-    n = len(ms)
-    ops = rational_series(n + 1)
-    f = [Fraction(0), Fraction(1)] + ms
-    phi = ops.reversion(f)
-    inner = SeriesOps(n, Fraction(0), Fraction(1), lambda a, b: a * b)
-    c = inner.reciprocal(phi[1:n + 2])
-    return c[1:n + 1]
+    """Free cumulants r_1..r_n of the moments m_1..m_n: r_k is m_k less
+    its lower terms."""
+    ms = [Fraction(1)] + _to_fracs(moments)
+    pw, rs = [[1]], []
+    for m in ms[1:]:
+        rs.append(m - _lower_terms(pw, ms, rs))
+    return rs
 
 
 def cumulants_to_moments(cumulants) -> list[Fraction]:
+    """Moments m_1..m_n of the free cumulants r_1..r_n: m_k is r_k plus
+    its lower terms."""
     rs = _to_fracs(cumulants)
-    n = len(rs)
-    inner = rational_series(n)
-    psi = inner.reciprocal([Fraction(1)] + rs)
-    ops = rational_series(n + 1)
-    f = ops.reversion([Fraction(0)] + psi)
-    return f[2:n + 2]
+    pw, ms = [[1]], [Fraction(1)]
+    for r in rs:
+        ms.append(r + _lower_terms(pw, ms, rs))
+    return ms[1:]
 
 
 def cumulants_via_star(moments) -> list[Fraction]:

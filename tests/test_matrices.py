@@ -15,7 +15,6 @@ def test_predicates():
     assert not matrices.is_packed(((0, 0), (1, 1)))
     assert matrices.is_word_matrix(((1, 0), (0, 1)))
     assert not matrices.is_word_matrix(((1, 1), (0, 1)))
-    assert matrices.is_parking_matrix(((1, 1, 0), (0, 1, 0)))
 
 
 def test_word_matrices_of_122():

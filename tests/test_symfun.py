@@ -1,6 +1,7 @@
 """Symmetric functions, the star involution, characteristics, cumulants."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -66,12 +67,54 @@ def test_ribbon_h():
     assert symfun.ribbon_h((2,)) == symfun.Sym.h((2,))
 
 
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
+           742900, 2674440, 9694845, 35357670, 129644790, 477638700,
+           1767263190, 6564120420]
+
+
+def _all_fractions(seq) -> bool:
+    return all(type(x) is Fraction for x in seq)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_free_poisson_cumulants_and_catalan_moments(n):
+    # free Poisson of rate 1: every free cumulant is 1, m_k = C_k
+    ms = symfun.cumulants_to_moments([1] * n)
+    assert ms == CATALAN[1:n + 1] and _all_fractions(ms)
+    rs = symfun.moments_to_cumulants(CATALAN[1:n + 1])
+    assert rs == [1] * n and _all_fractions(rs)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_semicircle_cumulants_and_catalan_moments(n):
+    # semicircle: r_2 = 1 is the only free cumulant, m_2k = C_k
+    semi_r = [int(k == 2) for k in range(1, n + 1)]
+    semi_m = [0 if k % 2 else CATALAN[k // 2] for k in range(1, n + 1)]
+    ms = symfun.cumulants_to_moments(semi_r)
+    assert ms == semi_m and _all_fractions(ms)
+    rs = symfun.moments_to_cumulants(semi_m)
+    assert rs == semi_r and _all_fractions(rs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_cumulants_against_noncrossing_sum(seed):
+    rng = random.Random(seed)
+    rs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+          for _ in range(seed % 10)]
+    ms = [symfun.nc_moment(rs, k) for k in range(1, len(rs) + 1)]
+    got_m = symfun.cumulants_to_moments(rs)
+    assert got_m == ms and _all_fractions(got_m)
+    got_r = symfun.moments_to_cumulants(ms)
+    assert got_r == rs and _all_fractions(got_r)
+
+
 def test_moment_cumulant_examples():
     semi = symfun.moments_to_cumulants([0, 1, 0, 2, 0, 5])
     assert semi == [Fraction(x) for x in (0, 1, 0, 0, 0, 0)]
     assert symfun.cumulants_to_moments([1, 1, 1, 1]) == [
         Fraction(x) for x in (1, 2, 5, 14)]
     assert symfun.moments_to_cumulants([]) == []
+    assert symfun.cumulants_to_moments([]) == []
 
 
 @settings(max_examples=30)
