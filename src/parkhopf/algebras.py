@@ -4,7 +4,8 @@ A basis is a key of the tables below: how its labels are parsed, rendered
 and encoded (`BASES`), its structure maps where they exist (`MUL`, `COMUL`,
 `ANTIPODE`, each on basis labels) and its labels degree by degree
 (`LABELS`).  The command line and the verification suites both read these
-tables; they hold no caches of their own.
+tables; they hold no caches of their own.  `SUITES` names the verification
+suites, so the command line can offer them without importing `verify`.
 """
 from __future__ import annotations
 
@@ -96,3 +97,6 @@ LABELS = {
     "Pq": _class_labels,
     "Q": _class_labels,
 }
+
+# the verification suites, in the order `verify.run("all")` runs them
+SUITES = ("paper-examples", "hopf", "duality", "counts", "equivalences")

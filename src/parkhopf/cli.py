@@ -11,9 +11,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from . import catalan, gbasis, symfun, verify, words
-from .algebras import ANTIPODE, BASES, COMUL, MUL
+from . import catalan, gbasis, symfun, words
+from .algebras import ANTIPODE, BASES, COMUL, MUL, SUITES
 from .jsonio import (format_coeff, lin_to_json, lin_to_text, render_word,
                      tensor_to_json, tensor_to_text)
 
@@ -21,6 +22,7 @@ ENUM_BOUND = 8
 SERIES_BOUND = 12
 DEGREE_BOUND = 6
 CUMULANT_BOUND = 20
+ENUM_BLOCK = 4096  # lines per write of the enum text stream
 
 
 class _MalformedOverride(ValueError):
@@ -75,7 +77,11 @@ def cmd_enum(args) -> int:
         return _die(3, str(exc))
     if args.format == "text" and not args.out:
         try:
-            sys.stdout.writelines(render_word(a) + "\n" for a in listed)
+            # one write per block of lines: each write to an unbuffered
+            # stdout (PYTHONUNBUFFERED) is a system call
+            while block := "".join([render_word(a) + "\n"
+                                    for a in islice(listed, ENUM_BLOCK)]):
+                sys.stdout.write(block)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early (`| head`); the interpreter's final
@@ -83,7 +89,10 @@ def cmd_enum(args) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     listed = list(listed)
-    _emit(args, "\n".join(map(render_word, listed)) if listed else None,
+    text = None
+    if args.format == "text" and listed:
+        text = "\n".join(map(render_word, listed))
+    _emit(args, text,
           {"kind": args.kind, "n": args.n, "words": [list(a) for a in listed]})
     return 0
 
@@ -178,8 +187,7 @@ def cmd_verify(args) -> int:
     bound = _bound(DEGREE_BOUND)
     if args.max_degree < 0 or args.max_degree > bound:
         return _die(2, f"degree bound exceeded: {args.max_degree} > {bound}")
-    if args.suite != "all" and args.suite not in verify.SUITES:
-        return _die(3, f"unknown suite {args.suite!r}")
+    from . import verify  # only this command pays for the suites' import
     results = verify.run(args.suite, args.max_degree)
     lines = []
     failed = 0
@@ -247,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run the verification suites")
     p.add_argument("--suite", default="all",
-                   choices=("all",) + verify.SUITES)
+                   choices=("all",) + SUITES)
     p.add_argument("--max-degree", type=int, default=4)
     p.set_defaults(fn=cmd_verify)
 

@@ -6,14 +6,22 @@ from fractions import Fraction
 from .linear import Lin, sorted_items
 
 
+# byte b in 1..9 -> the digit b; every other byte -> a non-digit
+_DIGITS = bytes(0x30 + b if 1 <= b <= 9 else 0x2C for b in range(256))
+
+
 def render_word(w) -> str:
-    """Digit string when all letters fit in one digit, else comma separated."""
-    w = tuple(w)
-    if not w:
-        return ""
-    if all(1 <= x <= 9 for x in w):
-        return "".join(str(x) for x in w)
-    return ",".join(str(x) for x in w)
+    """Digit string when all letters fit in one digit, else comma separated.
+
+    `w` is a sequence of integers (it is read twice).
+    """
+    try:
+        digits = bytes(w).translate(_DIGITS)
+    except ValueError:  # a letter outside 0..255
+        digits = b""
+    if digits.isdigit():
+        return digits.decode()
+    return ",".join(map(str, w))
 
 
 def parse_word(s: str) -> tuple[int, ...]:

@@ -43,18 +43,6 @@ class SeriesOps:
             out = self.mul(out, f)
         return out
 
-    def compose(self, f, g) -> list:
-        """f(g(t)); requires g to have zero constant term."""
-        g = self.pad(g)
-        if g[0] != self.zero:
-            raise ValueError("composition needs vanishing constant term")
-        f = self.pad(f)
-        out = self.pad([f[self.order]])
-        for k in range(self.order - 1, -1, -1):
-            out = self.mul(out, g)
-            out[0] = out[0] + f[k]
-        return out
-
     def reversion(self, f) -> list:
         """Compositional inverse of f = t + c_2 t^2 + ...; same shape back.
 

@@ -14,7 +14,7 @@ from itertools import chain, permutations, product
 from math import prod
 
 from . import catalan, fbasis, gbasis, matrices, schroder, symfun, words
-from .algebras import ANTIPODE, COMUL, LABELS, MUL
+from .algebras import ANTIPODE, COMUL, LABELS, MUL, SUITES
 from .linear import (Lin, _build, dual_pairing, extend_bilinear,
                      extend_linear, lin_sum, tensor, tensor_map, tensor_mul)
 
@@ -1059,8 +1059,6 @@ class CheckResult:
     detail: str
     kind: str = "check"
 
-
-SUITES = ("paper-examples", "hopf", "duality", "counts", "equivalences")
 
 CHECKS: list[tuple[str, str, str, object]] = [
     ("paper-examples", "f-product", "check", check_example_f_product),

@@ -66,6 +66,8 @@ def parkize(w: Word) -> Word:
     result has the same relative order (including ties) as the input.
     """
     w = tuple(w)
+    if w and min(w) < 1:
+        raise ValueError(f"letters must be positive integers, got {min(w)}")
     while True:
         d = defect(w)
         if d == len(w) + 1:

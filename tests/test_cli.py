@@ -4,13 +4,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from parkhopf import words
 from parkhopf.cli import main
+from parkhopf.jsonio import render_word
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -75,8 +80,7 @@ def test_enum_empty_class_with_out_file(capsys, tmp_path):
 
 
 def test_enum_into_a_closed_pipe_exits_quietly():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen([sys.executable, "-m", "parkhopf.cli",
                              "enum", "pf", "7"], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -84,6 +88,51 @@ def test_enum_into_a_closed_pipe_exits_quietly():
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait() == 0 and err == b""
+
+
+def test_enum_pf_7_through_an_unbuffered_pipe():
+    # the text is written in blocks; the bytes are the recorded corpus digest
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+    env.pop("PARKHOPF_MAX_N", None)
+    proc = subprocess.run([sys.executable, "-m", "parkhopf.cli",
+                           "enum", "pf", "7"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "4936cafbf55955b056abcb8e7c1233072d5729c32cc51c3e2188e0f5025f6c17")
+
+
+def test_cli_import_leaves_verify_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, parkhopf.cli; print('parkhopf.verify' in sys.modules)"],
+        env=env, stdout=subprocess.PIPE, check=True)
+    assert proc.stdout == b"False\n"
+
+
+def _render_word_reference(w) -> str:
+    # the per-letter definition render_word replaced
+    w = tuple(w)
+    if not w:
+        return ""
+    if all(1 <= x <= 9 for x in w):
+        return "".join(str(x) for x in w)
+    return ",".join(str(x) for x in w)
+
+
+def test_render_word_matches_the_per_letter_definition():
+    cases = [(), (10,), (300, 1), (-1, 2)]
+    for n in range(1, 7):
+        cases.extend(words.parking_functions(n))
+    rng = random.Random(7)
+    cases.extend(tuple(rng.randint(0, 12) for _ in range(rng.randint(1, 8)))
+                 for _ in range(200))
+    # both non-digit routes are hit: a letter 0 and a two-digit letter
+    assert any(0 in w for w in cases) and any(max(w, default=0) > 9
+                                              for w in cases)
+    for w in cases:
+        assert render_word(w) == _render_word_reference(w), w
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -208,6 +257,12 @@ def test_verify_equivalences_reports_red_law(capsys):
     assert code == 1
     assert "FAIL   equivalences/ribbon-two-term-law" in out
     assert "REPORT equivalences/g-series-routes" in out
+
+
+def test_verify_unknown_suite_is_rejected_by_the_parser():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_verify_degree_bound(capsys):

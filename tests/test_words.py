@@ -60,6 +60,12 @@ def test_parkize_example():
     assert words.parkize((2, 2, 5)) == (1, 1, 3)
 
 
+@pytest.mark.parametrize("w", [(0,), (0, 2), (3, -1, 2)])
+def test_parkize_rejects_nonpositive_letters(w):
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        words.parkize(w)
+
+
 @given(random_word)
 def test_parkize_idempotent(w):
     p = words.parkize(w)
