@@ -62,8 +62,10 @@ def _emit(args, text: str | None, payload) -> None:
 # subcommands
 
 def cmd_enum(args) -> int:
+    if args.n < 0:
+        return _die(3, f"n must be nonnegative, got {args.n}")
     bound = _bound(ENUM_BOUND)
-    if args.n < 0 or args.n > bound:
+    if args.n > bound:
         return _die(2, f"enumeration bound exceeded: n={args.n} > {bound}")
     try:
         if args.count_only:
@@ -122,8 +124,10 @@ def cmd_op(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.N < 0:
+        return _die(3, f"N must be nonnegative, got {args.N}")
     bound = _bound(SERIES_BOUND)
-    if args.N < 0 or args.N > bound:
+    if args.N > bound:
         return _die(2, f"series bound exceeded: N={args.N} > {bound}")
     n = args.N
     if args.which == "connected":
@@ -184,8 +188,10 @@ def cmd_cumulants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_degree < 0:
+        return _die(3, f"--max-degree must be nonnegative, got {args.max_degree}")
     bound = _bound(DEGREE_BOUND)
-    if args.max_degree < 0 or args.max_degree > bound:
+    if args.max_degree > bound:
         return _die(2, f"degree bound exceeded: {args.max_degree} > {bound}")
     from . import verify  # only this command pays for the suites' import
     results = verify.run(args.suite, args.max_degree)

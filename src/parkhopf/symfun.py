@@ -1,14 +1,15 @@
 """Symmetric functions, quasi-symmetric functions, and their noncommutative
 cousins, at the scale needed for parking-function character computations.
 
-Sym carries the m/e/h bases over partition labels with exact conversions:
-e <-> h by the alternating convolution recurrence, h -> m by counting
-nonnegative-integer matrices with prescribed margins, m -> h by per-degree
-matrix inversion.  On top of that sit the star involution (Lagrange
-inversion of the complete-series datum), the characters of the symmetric
-group acting on (prime) parking functions, free moment/cumulant
-conversions (one triangular recurrence from the R-transform), the Hall
-pairing, and inclusion-exclusion ribbons.
+A Sym is its h-expansion over partition labels.  The e family enters by
+the alternating convolution recurrence e_n = sum (-1)^(k-1) h_k e_(n-k);
+the monomial expansion, needed by the Hall pairing and the map to QSym,
+leaves by counting nonnegative-integer matrices with prescribed margins.
+On top of that sit the star involution (Lagrange inversion of the
+complete-series datum), the characters of the symmetric group acting on
+(prime) parking functions, free moment/cumulant conversions (one
+triangular recurrence from the R-transform), the Hall pairing, and
+inclusion-exclusion ribbons.
 
 QSym lives on composition labels (M quasi-shuffle, F by refinement sums,
 deconcatenation coproduct); NSym on composition labels (S concatenation,
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
-from .linear import Lin, _build, extend_bilinear, lin_sum, tensor_map
+from .linear import Lin, _build, dual_pairing, extend_bilinear, lin_sum, tensor_map
 from .series import SeriesOps
 from .words import (
     Composition,
@@ -41,19 +42,23 @@ from .words import (
 )
 
 # ---------------------------------------------------------------------------
-# the commutative algebra: products of basis labels
+# Sym: a symmetric function held as its expansion over the h basis
 
 def _merge(parts1: Partition, parts2: Partition) -> Partition:
     return tuple(sorted(parts1 + parts2, reverse=True))
 
 
-def _mul_multiplicative(a: Lin, b: Lin) -> Lin:
-    """Product when the basis is multiplicative (e or h): labels merge."""
+def _h_mul(a: Lin, b: Lin) -> Lin:
+    """Product of h-expansions: labels merge."""
     return _build((_merge(k1, k2), c1 * c2) for k1, c1 in a.items()
                   for k2, c2 in b.items())
 
 
-# -- e <-> h ----------------------------------------------------------------
+def _substitute(vec: Lin, image) -> Lin:
+    """The algebra map h_n -> image(n), applied to an h-expansion."""
+    return lin_sum(reduce(_h_mul, map(image, lam), Lin.basis((), c))
+                   for lam, c in vec.items())
+
 
 @lru_cache(maxsize=None)
 def _e_in_h(n: int) -> Lin:
@@ -64,14 +69,7 @@ def _e_in_h(n: int) -> Lin:
                   for lam, c in _e_in_h(n - k).items())
 
 
-def _product_expand(lam: Partition, factor) -> Lin:
-    out = Lin.basis(())
-    for part in lam:
-        out = _mul_multiplicative(out, factor(part))
-    return out
-
-
-# -- h <-> m ----------------------------------------------------------------
+# -- h -> m -----------------------------------------------------------------
 
 def _bounded_vectors(total: int, bounds):
     """All nonnegative integer vectors below bounds with the given sum."""
@@ -100,139 +98,74 @@ def _h_label_in_m(lam: Partition) -> Lin:
     return _build((mu, _margin_matrix_count(lam, mu)) for mu in partitions(sum(lam)))
 
 
-def _solve_exact(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a small square matrix by Gauss-Jordan over the rationals."""
-    k = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-           for i, row in enumerate(matrix)]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
-@lru_cache(maxsize=None)
-def _m_in_h(n: int) -> dict[Partition, Lin]:
-    labels = list(partitions(n))
-    mat = [[Fraction(_margin_matrix_count(lam, mu)) for mu in labels] for lam in labels]
-    inv = _solve_exact(mat)
-    return {mu: _build((lam, inv[i][j]) for i, lam in enumerate(labels))
-            for j, mu in enumerate(labels)}
-
-
-# ---------------------------------------------------------------------------
-
 class Sym:
-    """Symmetric function carried in one of the m/e/h bases."""
+    """Symmetric function held as its expansion over the h basis."""
 
-    __slots__ = ("basis", "vec")
-    BASES = ("m", "e", "h")
+    __slots__ = ("vec",)
 
-    def __init__(self, basis: str, vec: Lin):
-        if basis not in Sym.BASES:
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
+    def __init__(self, vec: Lin):
         self.vec = vec
 
     @staticmethod
-    def term(basis: str, parts, c=1) -> "Sym":
+    def h(parts, c=1) -> "Sym":
         parts = tuple(parts)
         if any(p < 1 for p in parts) or list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"not a partition: {parts}")
-        return Sym(basis, Lin.basis(parts, c))
-
-    @staticmethod
-    def h(parts, c=1) -> "Sym":
-        return Sym.term("h", parts, c)
+        return Sym(Lin.basis(parts, c))
 
     @staticmethod
     def e(parts, c=1) -> "Sym":
-        return Sym.term("e", parts, c)
-
-    @staticmethod
-    def m(parts, c=1) -> "Sym":
-        return Sym.term("m", parts, c)
+        return omega(Sym.h(parts, c))
 
     @staticmethod
     def one() -> "Sym":
         return Sym.h(())
 
-    def to(self, basis: str) -> "Sym":
-        if basis == self.basis:
-            return self
-        if self.basis == "e" and basis in ("h", "m"):
-            in_h = lin_sum(
-                _product_expand(lam, _e_in_h).scale(c) for lam, c in self.vec.items()
-            )
-            return Sym("h", in_h).to(basis)
-        if self.basis == "h" and basis == "e":
-            # omega swaps e and h, so h_n over e has the coefficients of e_n over h
-            vec = lin_sum(
-                _product_expand(lam, _e_in_h).scale(c) for lam, c in self.vec.items()
-            )
-            return Sym("e", vec)
-        if self.basis == "h" and basis == "m":
-            vec = lin_sum(
-                _h_label_in_m(lam).scale(c) for lam, c in self.vec.items()
-            )
-            return Sym("m", vec)
-        if self.basis == "m":
-            vec = lin_sum(
-                _m_in_h(sum(lam))[lam].scale(c) for lam, c in self.vec.items()
-            )
-            return Sym("h", vec).to(basis)
-        raise ValueError(f"no conversion {self.basis} -> {basis}")
+    def in_m(self) -> Lin:
+        """Expansion over the monomial basis, by margin counts."""
+        return lin_sum(_h_label_in_m(lam).scale(c) for lam, c in self.vec.items())
 
     def __add__(self, other: "Sym") -> "Sym":
-        return Sym(self.basis, self.vec + other.to(self.basis).vec)
+        return Sym(self.vec + other.vec)
 
     def __sub__(self, other: "Sym") -> "Sym":
-        return Sym(self.basis, self.vec - other.to(self.basis).vec)
+        return Sym(self.vec - other.vec)
 
     def __neg__(self) -> "Sym":
-        return Sym(self.basis, -self.vec)
+        return Sym(-self.vec)
 
     def scale(self, c) -> "Sym":
-        return Sym(self.basis, self.vec.scale(c))
+        return Sym(self.vec.scale(c))
 
     def __mul__(self, other):
         if isinstance(other, Sym):
-            a, b = self.to("h").vec, other.to("h").vec
-            return Sym("h", _mul_multiplicative(a, b))
+            return Sym(_h_mul(self.vec, other.vec))
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sym) and self.to("h").vec == other.to("h").vec
+        return isinstance(other, Sym) and self.vec == other.vec
 
     def __hash__(self):
         raise TypeError("Sym is not hashable")
 
     def __repr__(self) -> str:
         items = sorted(self.vec.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        body = " + ".join(f"{c}*{self.basis}{list(lam)}" for lam, c in items) or "0"
+        body = " + ".join(f"{c}*h{list(lam)}" for lam, c in items) or "0"
         return f"Sym({body})"
 
 
 def omega(x: Sym) -> Sym:
     """The involution swapping the e and h generator families."""
-    if x.basis == "m":
-        x = x.to("h")
-    return Sym("e" if x.basis == "h" else "h", x.vec)
+    return Sym(_substitute(x.vec, _e_in_h))
 
 
 # ---------------------------------------------------------------------------
 # the star involution
 
 def _h_series_ops(order: int) -> SeriesOps:
-    return SeriesOps(order, Lin(), Lin.basis(()), _mul_multiplicative)
+    return SeriesOps(order, Lin(), Lin.basis(()), _h_mul)
 
 
 @lru_cache(maxsize=None)
@@ -247,7 +180,7 @@ def h_star(n: int) -> Sym:
     """Image of h_n under the star involution, by exact series reversion."""
     if n == 0:
         return Sym.one()
-    return Sym("h", _h_star_table(n + 1)[n + 1])
+    return Sym(_h_star_table(n + 1)[n + 1])
 
 
 def h_star_closed(n: int) -> Sym:
@@ -259,14 +192,12 @@ def h_star_closed(n: int) -> Sym:
         _e_in_h(k).scale(1 if k % 2 == 0 else -1) for k in range(1, n + 1)
     ]
     powed = ops.pow(em, n + 1)
-    return Sym("h", powed[n].scale(Fraction(1, n + 1)))
+    return Sym(powed[n].scale(Fraction(1, n + 1)))
 
 
 def star(x: Sym) -> Sym:
     """Algebra endomorphism determined by h_n -> h_n*; an involution."""
-    return Sym("h", lin_sum(
-        _product_expand(lam, lambda part: h_star(part).vec).scale(c)
-        for lam, c in x.to("h").vec.items()))
+    return Sym(_substitute(x.vec, lambda part: h_star(part).vec))
 
 
 def e_star(n: int) -> Sym:
@@ -282,7 +213,7 @@ def prime_characteristic(n: int) -> Sym:
         raise ValueError("defined for n >= 1")
     if n == 1:
         return Sym.h((1,))
-    return omega(-e_star(n)).to("h")
+    return omega(-e_star(n))
 
 
 def prime_characteristic_closed(n: int) -> Sym:
@@ -291,7 +222,7 @@ def prime_characteristic_closed(n: int) -> Sym:
         raise ValueError("defined for n >= 1")
     if n == 1:
         return Sym.h((1,))
-    return Sym("h", _build((lam, _prime_orbits(lam)) for lam in partitions(n)))
+    return Sym(_build((lam, _prime_orbits(lam)) for lam in partitions(n)))
 
 
 def _prime_orbits(lam: Partition) -> Fraction:
@@ -316,19 +247,18 @@ def type_characteristic(i: Composition) -> Sym:
 def type_characteristic_by_words(i: Composition) -> Sym:
     """Oracle route: sum h over evaluations of nondecreasing members of the type class."""
     n = sum(i)
-    return Sym("h", _build((_evaluation_partition(a), 1)
-                           for a in nondecreasing_parking_functions(n)
-                           if prime_type(a) == tuple(i)))
+    return Sym(_build((_evaluation_partition(a), 1)
+                      for a in nondecreasing_parking_functions(n)
+                      if prime_type(a) == tuple(i)))
 
 
 def parking_characteristic(n: int) -> Sym:
-    return Sym("h", lin_sum(type_characteristic(i).to("h").vec
-                            for i in compositions(n)))
+    return Sym(lin_sum(type_characteristic(i).vec for i in compositions(n)))
 
 
 def parking_characteristic_by_words(n: int) -> Sym:
-    return Sym("h", _build((_evaluation_partition(a), 1)
-                           for a in nondecreasing_parking_functions(n)))
+    return Sym(_build((_evaluation_partition(a), 1)
+                      for a in nondecreasing_parking_functions(n)))
 
 
 def _evaluation_partition(a) -> Partition:
@@ -358,15 +288,13 @@ def prime_eval_count(lam) -> int:
 def ribbon_h(j: Composition) -> Sym:
     """Inclusion-exclusion ribbon r_J over the h basis."""
     j = tuple(j)
-    return Sym("h", _build((partition_of(k), (-1) ** (len(j) - len(k)))
-                           for k in coarsenings(j)))
+    return Sym(_build((partition_of(k), (-1) ** (len(j) - len(k)))
+                      for k in coarsenings(j)))
 
 
-def hall_pairing(x: Sym, y: Sym) -> Fraction:
+def hall_pairing(x: Sym, y: Sym) -> int | Fraction:
     """Bilinear pairing with <h_lam, m_mu> = delta."""
-    xh = x.to("h").vec
-    ym = y.to("m").vec
-    return sum((c * ym.coeff(lam) for lam, c in xh.items()), Fraction(0))
+    return dual_pairing(x.vec, y.in_m())
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +359,7 @@ def cumulants_via_star(moments) -> list[Fraction]:
 
     out = []
     for n in range(1, len(ms) + 1):
-        val = sum((c * spec(lam) for lam, c in e_star(n).to("h").vec.items()),
+        val = sum((c * spec(lam) for lam, c in e_star(n).vec.items()),
                   Fraction(0))
         out.append(val if n % 2 == 0 else -val)
     return out
@@ -495,7 +423,7 @@ def qs_f_coproduct(x: Lin) -> Lin:
 
 def sym_to_qsym_m(x: Sym) -> Lin:
     """Expand over QSym monomials: m_lam -> sum of its distinct rearrangements."""
-    return _build((alpha, c) for lam, c in x.to("m").vec.items()
+    return _build((alpha, c) for lam, c in x.in_m().items()
                   for alpha in distinct_permutations(lam))
 
 
@@ -509,4 +437,4 @@ def ns_product(x: Lin, y: Lin) -> Lin:
 
 def ns_image(x: Lin) -> Sym:
     """Commutative image S_n -> h_n of an S-basis element."""
-    return Sym("h", x.map_labels(partition_of))
+    return Sym(x.map_labels(partition_of))

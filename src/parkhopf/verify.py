@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import prod
 
 from . import catalan, fbasis, gbasis, matrices, schroder, symfun, words
@@ -692,7 +692,7 @@ def check_star_involution(d: int = 4) -> tuple[bool, str]:
             lam = tuple(sorted((rng.randint(1, n) for _ in range(2)),
                                reverse=True))
             terms.append((lam, rng.randint(-3, 3)))
-        x = symfun.Sym("h", _build(terms))
+        x = symfun.Sym(_build(terms))
         if symfun.star(symfun.star(x)) != x:
             return _fail("star not involutive on a random element")
     return OK
@@ -725,13 +725,32 @@ def check_eta_v_compatibility(d: int = 4) -> tuple[bool, str]:
     return OK
 
 
+def _schur_in_h(lam: tuple[int, ...]) -> Lin:
+    """Oracle: s_lam = det(h_(lam_i - i + j)) by Jacobi-Trudi (Macdonald,
+    Symmetric Functions, I.3.4), with h_0 = 1 and h_(-k) = 0."""
+    terms = []
+    for perm in permutations(range(len(lam))):
+        parts = [p - i + j for i, (p, j) in enumerate(zip(lam, perm))]
+        if min(parts, default=0) >= 0:
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            terms.append((words.partition_of(p for p in parts if p),
+                          (-1) ** inversions))
+    return _build(terms)
+
+
 def check_hall_pairing(d: int = 4) -> tuple[bool, str]:
+    """<s_lam, s_mu> = delta, and f_n = prime_characteristic(n) is Schur
+    positive: <f_n, s_lam> >= 0."""
     for n in range(1, min(d, 5) + 1):
-        for lam in words.partitions(n):
-            for mu in words.partitions(n):
-                got = symfun.hall_pairing(symfun.Sym.h(lam), symfun.Sym.m(mu))
-                if got != int(lam == mu):
-                    return _fail(f"pairing not orthonormal at {lam},{mu}")
+        schur = {lam: _schur_in_h(lam) for lam in words.partitions(n)}
+        in_m = {lam: symfun.Sym(s).in_m() for lam, s in schur.items()}
+        for (lam, s), mu in product(schur.items(), schur):
+            if dual_pairing(s, in_m[mu]) != int(lam == mu):
+                return _fail(f"Schur functions not orthonormal at {lam},{mu}")
+        f = symfun.prime_characteristic(n).vec
+        for lam in schur:
+            if dual_pairing(f, in_m[lam]) < 0:
+                return _fail(f"prime characteristic not Schur positive at {lam}")
     return OK
 
 
@@ -943,22 +962,21 @@ def check_schroder_closure(d: int = 4) -> tuple[bool, str]:
 
 def check_schroder_quotient(d: int = 3) -> tuple[bool, str]:
     top = min(d, 3)
+
+    def quotient_mul(u, v) -> Lin:
+        return gbasis.g_mul(Lin.basis(u), Lin.basis(v)) \
+            .map_labels(schroder.hypo_key)
+
     for key in _upto("Pq", top):
-        members = schroder.class_members(key)
+        first, *rest = schroder.class_members(key)
         for x in _upto("G", top):
-            ref = None
-            for rep in members:
-                got = gbasis.g_mul(Lin.basis(x), Lin.basis(rep)) \
-                    .map_labels(schroder.hypo_key)
-                ref = got if ref is None else ref
-                if got != ref:
+            right, left = quotient_mul(x, first), quotient_mul(first, x)
+            for rep in rest:
+                if quotient_mul(x, rep) != right:
                     return _fail(
                         f"quotient product depends on the representative "
                         f"of {key} against {x}")
-                got = gbasis.g_mul(Lin.basis(rep), Lin.basis(x)) \
-                    .map_labels(schroder.hypo_key)
-                if gbasis.g_mul(Lin.basis(members[0]), Lin.basis(x)) \
-                        .map_labels(schroder.hypo_key) != got:
+                if quotient_mul(rep, x) != left:
                     return _fail(
                         f"quotient product depends on the representative "
                         f"of {key} against {x} (left)")

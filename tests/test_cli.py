@@ -271,6 +271,15 @@ def test_verify_degree_bound(capsys):
     assert code == 2 and "bound" in err
 
 
+@pytest.mark.parametrize("argv", [("enum", "pf", "-1"),
+                                  ("series", "lie", "-1"),
+                                  ("verify", "--max-degree", "-1")])
+def test_negative_size_is_malformed_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "must be nonnegative, got -1" in err
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "mul", "--basis", "F", "12", "11")
     second = run(capsys, "mul", "--basis", "F", "12", "11")

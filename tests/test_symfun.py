@@ -13,12 +13,15 @@ from parkhopf.linear import Lin
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
-def test_basis_conversions_roundtrip():
+def test_conversions_of_the_h_expansion():
+    h = symfun.Sym.h
+    assert symfun.Sym.e((3,)) == h((1, 1, 1)) - h((2, 1), 2) + h((3,))
     for lam in [(3,), (2, 1), (1, 1, 1), (2, 2)]:
-        for src in "meh":
-            for dst in "meh":
-                x = getattr(symfun.Sym, src)(lam)
-                assert x.to(dst).to(src) == x
+        x = symfun.Sym.h(lam)
+        assert symfun.omega(x) == symfun.Sym.e(lam)
+        assert symfun.omega(symfun.omega(x)) == x
+    want = Lin.basis((3,)) + Lin.basis((2, 1), 2) + Lin.basis((1, 1, 1), 3)
+    assert symfun.Sym.h((2, 1)).in_m() == want
 
 
 def test_omega_involution():
@@ -59,6 +62,26 @@ def test_prime_eval_count_brute_force():
 
 def test_hall_pairing_orthonormal():
     assert verify.check_hall_pairing(4)[0]
+
+
+def test_hall_pairing_check_sees_a_wrong_monomial_expansion(monkeypatch):
+    right = symfun._h_label_in_m
+
+    def wrong(lam):
+        extra = Lin.basis((1, 1, 1)) if lam == (2, 1) else Lin()
+        return right(lam) + extra
+
+    monkeypatch.setattr(symfun, "_h_label_in_m", wrong)
+    ok, detail = verify.check_hall_pairing(4)
+    assert not ok and "not orthonormal" in detail
+
+
+def test_hall_pairing_check_sees_a_character_that_is_not_schur_positive(
+        monkeypatch):
+    monkeypatch.setattr(symfun, "prime_characteristic",
+                        lambda n: -symfun.Sym.h((n,)))
+    ok, detail = verify.check_hall_pairing(4)
+    assert not ok and "not Schur positive" in detail
 
 
 def test_ribbon_h():
@@ -153,8 +176,10 @@ def test_qs_basis_roundtrip():
 
 
 def test_sym_to_qsym():
-    got = symfun.sym_to_qsym_m(symfun.Sym.m((2, 1)))
-    assert got == Lin.basis((2, 1)) + Lin.basis((1, 2))
+    # h_21 = m_3 + 2 m_21 + 3 m_111
+    got = symfun.sym_to_qsym_m(symfun.Sym.h((2, 1)))
+    assert got == (Lin.basis((3,)) + Lin.basis((2, 1), 2)
+                   + Lin.basis((1, 2), 2) + Lin.basis((1, 1, 1), 3))
 
 
 def test_nsym_ops():
