@@ -7,8 +7,9 @@ oracles obtained by dualizing the F-basis structure maps.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement
 from math import comb
+from operator import ge
 
 from .fbasis import _f_in_mult_basis, f_coproduct
 from .linear import (Lin, _build, extend_bilinear, extend_linear,
@@ -19,7 +20,6 @@ from .words import (
     connected_counts,
     connected_factorization,
     inverse_permutation,
-    is_parking,
     mirror,
     nondecreasing_parking_functions,
     parking_list,
@@ -58,16 +58,33 @@ def parkization_fiber(a: Word, m: int) -> list[Word]:
     return sorted(out)
 
 
+def _counts_up_to(w: Word, n: int) -> list[int]:
+    """[#{letters of w <= b} for b = 1..n]."""
+    counts = [0] * (n + 1)
+    for x in w:
+        counts[x] += 1
+    return list(accumulate(counts))[1:]
+
+
 def convolution(a1: Word, a2: Word) -> list[Word]:
-    """Parking words u.v with parkize(u) = a1 and parkize(v) = a2."""
+    """Parking words u.v with parkize(u) = a1 and parkize(v) = a2, sorted.
+
+    u.v parks when #{letters of v <= b} >= b - #{letters of u <= b} for
+    every b.  The fiber of a2 is made once with its counts; u's fiber is
+    sorted and u has a fixed length, so the words come out in order.
+    """
     n = len(a1) + len(a2)
+    fiber_u = parkization_fiber(a1, n)
+    fiber_v = parkization_fiber(a2, n)
+    for a, fiber in ((a1, fiber_u), (a2, fiber_v)):
+        if not fiber:  # a fiber over {1..n} is empty only when a does not park
+            raise ValueError(f"not a parking function: {tuple(a)}")
+    counted = [(v, _counts_up_to(v, n)) for v in fiber_v]
     out = []
-    for u in parkization_fiber(a1, n):
-        for v in parkization_fiber(a2, n):
-            c = u + v
-            if is_parking(c):
-                out.append(c)
-    return sorted(out)
+    for u in fiber_u:
+        need = [b - c for b, c in enumerate(_counts_up_to(u, n), start=1)]
+        out.extend(u + v for v, have in counted if all(map(ge, have, need)))
+    return out
 
 
 def g_product(a1: Word, a2: Word) -> Lin:

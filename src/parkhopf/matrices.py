@@ -82,24 +82,21 @@ def augmented_shuffle(p: Matrix, q: Matrix) -> list[Matrix]:
     """Interleave the rows of p and q over a common set of slots.
 
     Each slot carries a row of p, a row of q, or both merged; columns of
-    q land to the right of those of p.
+    q land to the right of those of p.  With r slots and p's rows in
+    slots alpha, q's rows fill every free slot and rq - (r - rp) of alpha.
     """
     p, q = _normalize(p), _normalize(q)
     rp, rq, wp, wq = len(p), len(q), width(p), width(q)
+    zp, zq = (0,) * wp, (0,) * wq
     out = set()
     for r in range(max(rp, rq), rp + rq + 1):
-        slots = set(range(r))
         for alpha in combinations(range(r), rp):
-            for beta in combinations(range(r), rq):
-                if set(alpha) | set(beta) != slots:
-                    continue
-                pmap = dict(zip(alpha, p))
-                qmap = dict(zip(beta, q))
-                rows = tuple(
-                    pmap.get(s, (0,) * wp) + qmap.get(s, (0,) * wq)
-                    for s in range(r)
-                )
-                out.add(rows)
+            free = [s for s in range(r) if s not in alpha]
+            pmap = dict(zip(alpha, p))
+            for shared in combinations(alpha, rq - len(free)):
+                qmap = dict(zip(sorted(free + list(shared)), q))
+                out.add(tuple(pmap.get(s, zp) + qmap.get(s, zq)
+                              for s in range(r)))
     return sorted(out)
 
 

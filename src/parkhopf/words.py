@@ -17,6 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -60,19 +61,28 @@ def defect(w: Word) -> int:
 
 
 def parkize(w: Word) -> Word:
-    """Nearest parking function below w: repeatedly decrement letters above the defect.
+    """Nearest parking function below w with the same relative order (ties kept).
 
-    Each pass strictly decreases the letter sum, so the loop terminates; the
-    result has the same relative order (including ties) as the input.
+    One pass over sorted(w) walks the distinct values upward.  A value v
+    with i - 1 letters below it keeps its gap to the previous value prev
+    unless that would lift it above i, the highest a parking word allows:
+    new(v) = min(new(prev) + v - prev, i), starting from new(0) = 0.
+    Parking words are fixed points.
     """
     w = tuple(w)
-    if w and min(w) < 1:
-        raise ValueError(f"letters must be positive integers, got {min(w)}")
-    while True:
-        d = defect(w)
-        if d == len(w) + 1:
-            return w
-        w = tuple(x - 1 if x > d else x for x in w)
+    letters = sorted(w)
+    if letters and letters[0] < 1:
+        raise ValueError(f"letters must be positive integers, got {letters[0]}")
+    new = {}
+    prev = cur = 0
+    for i, v in enumerate(letters, start=1):
+        if v != prev:
+            cur += v - prev
+            if cur > i:
+                cur = i
+            new[v] = cur
+            prev = v
+    return tuple(map(new.__getitem__, w))
 
 
 def standardize(w: Word) -> Word:
@@ -102,23 +112,39 @@ def shifted_concat(u: Word, v: Word) -> Word:
     return tuple(u) + shift(v, len(u))
 
 
-def shuffle(u: Word, v: Word):
-    """All interleavings of u and v, one per choice of positions for u."""
-    n, m = len(u), len(v)
-    for pos in itertools.combinations(range(n + m), n):
-        word = [0] * (n + m)
-        for i, p in enumerate(pos):
-            word[p] = u[i]
-        it = iter(v)
-        for j in range(n + m):
-            if not word[j]:
-                word[j] = next(it)
-        yield tuple(word)
+# (len(u), len(v)) -> one itemgetter per shuffle, stored for short pairs only
+_SHUFFLE_GETTERS: dict[tuple[int, int], list[itemgetter]] = {}
+_SHUFFLE_TABLE_MAX = 12
+
+
+def _shuffle_getters(n: int, m: int) -> list[itemgetter]:
+    getters = _SHUFFLE_GETTERS.get((n, m))
+    if getters is None:
+        getters = []
+        for pos in itertools.combinations(range(n + m), n):
+            source = list(range(n, n + m))  # v's letters, in order
+            for i, p in enumerate(pos):
+                source.insert(p, i)
+            getters.append(itemgetter(*source))
+        if n + m <= _SHUFFLE_TABLE_MAX:
+            _SHUFFLE_GETTERS[n, m] = getters
+    return getters
 
 
 def shifted_shuffle(u: Word, v: Word) -> list[Word]:
-    """u shuffled with v shifted by len(u); C(|u|+|v|, |u|) words, as a list."""
-    return list(shuffle(u, shift(v, len(u))))
+    """u shuffled with v shifted by len(u); C(|u|+|v|, |u|) words, as a list.
+
+    The words come one per choice of positions for u, in
+    itertools.combinations order.  Each choice is an itemgetter on
+    u + shift(v, len(u)).  The getters are kept in a module table per
+    (len(u), len(v)) when len(u) + len(v) <= 12; longer pairs build theirs
+    for the one call, so memory stays bounded.
+    """
+    word = tuple(u) + shift(v, len(u))
+    n, m = len(u), len(v)
+    if not n or not m:
+        return [word]
+    return [g(word) for g in _shuffle_getters(n, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +296,11 @@ def partition_of(i) -> Partition:
 
 
 def multinomial(n: int, parts) -> int:
+    if sum(parts) != n:
+        raise ValueError(f"parts {parts} do not sum to {n}")
     out = factorial(n)
     for p in parts:
         out //= factorial(p)
-    assert sum(parts) == n
     return out
 
 

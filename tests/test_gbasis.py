@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -62,6 +63,42 @@ def test_fiber_matches_the_relabelling_reference(group):
         n = len(a)
         for m in range(n - 1, 2 * n + 2):  # m = n - 1 gives empty fibers
             assert gbasis.parkization_fiber(a, m) == _fiber_by_relabelling(a, m), (a, m)
+
+
+def _convolution_by_filter(a1, a2):
+    # reference: every pair of fiber words, kept when the concatenation parks
+    n = len(a1) + len(a2)
+    out = []
+    for u in gbasis.parkization_fiber(a1, n):
+        for v in gbasis.parkization_fiber(a2, n):
+            c = u + v
+            if words.is_parking(c):
+                out.append(c)
+    return sorted(out)
+
+
+def _pairs(d1, d2):
+    return [(a, b) for a in words.parking_list(d1) for b in words.parking_list(d2)]
+
+
+CONVOLUTION_CASES = {f"{d1}+{d2}": _pairs(d1, d2)
+                     for d1 in range(5) for d2 in range(5) if d1 + d2 <= 6}
+for _d1, _d2, _k in [(4, 3, 100), (3, 4, 100), (4, 4, 150)]:
+    CONVOLUTION_CASES[f"{_d1}+{_d2}-sample"] = random.Random(_d1 * 10 + _d2).sample(
+        _pairs(_d1, _d2), _k)
+
+
+@pytest.mark.parametrize("group", CONVOLUTION_CASES)
+def test_convolution_matches_the_fiber_filter(group):
+    for a1, a2 in CONVOLUTION_CASES[group]:
+        assert gbasis.convolution(a1, a2) == _convolution_by_filter(a1, a2), (a1, a2)
+
+
+@pytest.mark.parametrize("a1, a2, bad", [((2,), (1,), (2,)), ((1,), (2,), (2,)),
+                                         ((1, 3), (), (1, 3))])
+def test_product_rejects_a_factor_that_does_not_park(a1, a2, bad):
+    with pytest.raises(ValueError, match=re.escape(f"not a parking function: {bad}")):
+        gbasis.g_product(a1, a2)
 
 
 def test_product_example():

@@ -1,7 +1,10 @@
 """Packed (0,1)-matrix realization."""
 from __future__ import annotations
 
-from parkhopf import matrices, verify
+import random
+from itertools import combinations
+
+from parkhopf import matrices, verify, words
 
 
 def test_reading():
@@ -39,6 +42,33 @@ def test_augmented_shuffle_degree_one():
     assert len(got) == 3
     readings = sorted(matrices.reading(m) for m in got)
     assert readings == [(1, 2), (1, 2), (2, 1)]
+
+
+def _augmented_shuffle_by_cover(p, q):
+    # reference: every pair of slot sets for p and q, kept when they cover
+    rp, rq, wp, wq = len(p), len(q), matrices.width(p), matrices.width(q)
+    out = set()
+    for r in range(max(rp, rq), rp + rq + 1):
+        slots = set(range(r))
+        for alpha in combinations(range(r), rp):
+            for beta in combinations(range(r), rq):
+                if set(alpha) | set(beta) != slots:
+                    continue
+                pmap = dict(zip(alpha, p))
+                qmap = dict(zip(beta, q))
+                out.add(tuple(pmap.get(s, (0,) * wp) + qmap.get(s, (0,) * wq)
+                              for s in range(r)))
+    return sorted(out)
+
+
+def test_augmented_shuffle_matches_the_cover_filter():
+    rng = random.Random(4)
+    labels = [a for n in range(5) for a in words.parking_list(n)]
+    for _ in range(300):
+        p = rng.choice(matrices.word_matrices(rng.choice(labels)))
+        q = rng.choice(matrices.word_matrices(rng.choice(labels)))
+        assert matrices.augmented_shuffle(p, q) == \
+            _augmented_shuffle_by_cover(p, q), (p, q)
 
 
 def test_matrix_parkize():

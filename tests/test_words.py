@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -66,6 +67,29 @@ def test_parkize_rejects_nonpositive_letters(w):
         words.parkize(w)
 
 
+def _parkize_by_decrement(w):
+    # reference: decrement every letter above the defect until the word parks
+    w = tuple(w)
+    while True:
+        d = words.defect(w)
+        if d == len(w) + 1:
+            return w
+        w = tuple(x - 1 if x > d else x for x in w)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parkize_matches_the_decrement_loop_on_every_small_word(n):
+    for w in itertools.product(range(1, n + 3), repeat=n):
+        assert words.parkize(w) == _parkize_by_decrement(w), w
+
+
+def test_parkize_matches_the_decrement_loop_on_seeded_words():
+    rng = random.Random(12)
+    for _ in range(20_000):
+        w = tuple(rng.randint(1, 20) for _ in range(rng.randint(0, 12)))
+        assert words.parkize(w) == _parkize_by_decrement(w), w
+
+
 @given(random_word)
 def test_parkize_idempotent(w):
     p = words.parkize(w)
@@ -95,6 +119,40 @@ def test_shifted_shuffle_counts():
     assert len(result) == comb(4, 2)
     assert len(set(result)) == len(result)
     assert all(words.is_parking(w) for w in result)
+
+
+def _shifted_shuffle_by_combinations(u, v):
+    # reference: place u at each choice of positions, fill the rest with v
+    v = words.shift(v, len(u))
+    n, m = len(u), len(v)
+    out = []
+    for pos in itertools.combinations(range(n + m), n):
+        word = [0] * (n + m)
+        for i, p in enumerate(pos):
+            word[p] = u[i]
+        it = iter(v)
+        for j in range(n + m):
+            if not word[j]:
+                word[j] = next(it)
+        out.append(tuple(word))
+    return out
+
+
+def test_shifted_shuffle_matches_the_combinations_loop():
+    rng = random.Random(5)
+    for n in range(8):
+        for m in range(8):
+            u = tuple(rng.randint(1, 9) for _ in range(n))
+            v = tuple(rng.randint(1, 9) for _ in range(m))
+            assert words.shifted_shuffle(u, v) == \
+                _shifted_shuffle_by_combinations(u, v), (u, v)
+
+
+def test_shifted_shuffle_stores_getters_for_short_pairs_only():
+    words.shifted_shuffle((1,) * 6, (1,) * 6)
+    words.shifted_shuffle((1,) * 7, (1,) * 6)
+    assert (6, 6) in words._SHUFFLE_GETTERS
+    assert all(n + m <= 12 for n, m in words._SHUFFLE_GETTERS)
 
 
 def test_breakpoints_and_primes():
@@ -156,6 +214,13 @@ def test_compositions_partitions():
     assert list(words.partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
                                          (1, 1, 1, 1)]
     assert words.multinomial(4, (2, 2)) == 6
+    assert words.multinomial(4, (2, 1, 1)) == 12
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (2, 2)])
+def test_multinomial_rejects_parts_of_another_sum(parts):
+    with pytest.raises(ValueError, match="do not sum to 3"):
+        words.multinomial(3, parts)
     assert words.partition_of((1, 3, 2)) == (3, 2, 1)
 
 
