@@ -47,8 +47,7 @@ def p_product(p1: Word, p2: Word) -> Word:
     return shifted_concat(_check_label(p1), _check_label(p2))
 
 
-def p_mul(x: Lin, y: Lin) -> Lin:
-    return extend_bilinear(lambda a, b: Lin.basis(p_product(a, b)))(x, y)
+p_mul = extend_bilinear(lambda a, b: Lin.basis(p_product(a, b)))
 
 
 def p_coproduct(pi: Word) -> Lin:

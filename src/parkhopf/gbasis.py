@@ -128,12 +128,6 @@ def g_coproduct_by_unshuffle(a: Word) -> Lin:
     return _unshuffle_table(len(a))[tuple(a)]
 
 
-def g_antipode_lin(x: Lin) -> Lin:
-    """Antipode via the defining convolution recursion."""
-    return _build((k, c * d) for a, c in x.items()
-                  for k, d in _g_antipode(tuple(a)).items())
-
-
 @lru_cache(maxsize=None)
 def _g_antipode(a: Word) -> Lin:
     if not a:
@@ -141,6 +135,10 @@ def _g_antipode(a: Word) -> Lin:
     return _build((k, -c * d) for (u, v), c in g_coproduct(a).items()
                   if len(u) < len(a)
                   for k, d in g_mul(_g_antipode(u), Lin.basis(v)).items())
+
+
+# antipode via the defining convolution recursion
+g_antipode_lin = extend_linear(_g_antipode)
 
 
 def phi(sigma: Word) -> Lin:

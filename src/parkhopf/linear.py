@@ -183,15 +183,16 @@ def sorted_items(v: Lin) -> list[tuple[Label, int | Fraction]]:
 
 def extend_linear(f: Callable[[Label], Lin]) -> Callable[[Lin], Lin]:
     def ext(v: Lin) -> Lin:
-        return _build(kc for k, c in v.items() for kc in f(k).scale(c).items())
+        return _build((k2, c * c2) for k, c in v.items()
+                      for k2, c2 in f(k).items())
 
     return ext
 
 
 def extend_bilinear(f: Callable[[Label, Label], Lin]) -> Callable[[Lin, Lin], Lin]:
     def ext(u: Lin, v: Lin) -> Lin:
-        return _build(kc for k1, c1 in u.items() for k2, c2 in v.items()
-                      for kc in f(k1, k2).scale(c1 * c2).items())
+        return _build((k, c1 * c2 * c) for k1, c1 in u.items()
+                      for k2, c2 in v.items() for k, c in f(k1, k2).items())
 
     return ext
 
@@ -212,10 +213,9 @@ def tensor_mul(mul: Callable[[Label, Label], Lin]) -> Callable[[Lin, Lin], Lin]:
     """Componentwise product on tensor squares: (a(x)b)(c(x)d) = ac (x) bd."""
 
     def prod(x: Lin, y: Lin) -> Lin:
-        return _build(kc for (a1, a2), c1 in x.items()
+        return _build((k, c1 * c2 * c) for (a1, a2), c1 in x.items()
                       for (b1, b2), c2 in y.items()
-                      for kc in tensor(mul(a1, b1), mul(a2, b2))
-                      .scale(c1 * c2).items())
+                      for k, c in tensor(mul(a1, b1), mul(a2, b2)).items())
 
     return prod
 

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial
 
-from .linear import Lin, _build, dual_pairing, extend_bilinear, lin_sum, tensor_map
+from .linear import (Lin, _build, _coerce, dual_pairing, extend_bilinear,
+                     lin_sum, tensor_map)
 from .series import SeriesOps
 from .words import (
     Composition,
@@ -307,7 +308,8 @@ def hall_pairing(x: Sym, y: Sym) -> int | Fraction:
 # for r_k or for m_k.
 
 def _to_fracs(seq) -> list[Fraction]:
-    return [Fraction(x) for x in seq]
+    """Exact terms: a float raises the TypeError a Lin coefficient would."""
+    return [Fraction(_coerce(x)) for x in seq]
 
 
 def _lower_terms(pw: list[list], ms: list[Fraction], rs: list[Fraction]) -> Fraction:

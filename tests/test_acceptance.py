@@ -21,7 +21,7 @@ from parkhopf import verify
 
 @pytest.mark.parametrize("k", range(1, 14))
 def test_criterion(k, capsys):
-    ok, detail = verify.CRITERIA[k - 1]()
+    ok, detail = verify.criterion(k)
     line = f"CRITERION {k}: {'PASS' if ok else 'FAIL'}"
     if not ok:
         line += f" -- {detail}"

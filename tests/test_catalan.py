@@ -127,10 +127,10 @@ def test_ribbon_stated_law_is_not_associative():
 
 
 def test_criterion_9_gates_the_junction_law(monkeypatch):
-    ok, detail = verify.criterion_9()
+    ok, detail = verify.criterion(9)
     assert ok and "report: two-term ribbon law disagrees" in detail
     monkeypatch.setattr(catalan, "ribbon_product_glued", catalan.ribbon_product)
-    ok, detail = verify.criterion_9()
+    ok, detail = verify.criterion(9)
     assert not ok and "junction-merge ribbon law fails" in detail
 
 

@@ -81,13 +81,13 @@ def test_enum_empty_class_with_out_file(capsys, tmp_path):
 
 def test_enum_into_a_closed_pipe_exits_quietly():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.Popen([sys.executable, "-m", "parkhopf.cli",
-                             "enum", "pf", "7"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"1111111\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait() == 0 and err == b""
+    with subprocess.Popen([sys.executable, "-m", "parkhopf.cli",
+                           "enum", "pf", "7"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"1111111\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 0 and err == b""
 
 
 def test_enum_pf_7_through_an_unbuffered_pipe():

@@ -140,6 +140,14 @@ def test_moment_cumulant_examples():
     assert symfun.cumulants_to_moments([]) == []
 
 
+def test_cumulants_reject_floats_and_take_exact_text():
+    for route in (symfun.moments_to_cumulants, symfun.cumulants_to_moments,
+                  lambda xs: symfun.nc_moment(xs, 2)):
+        with pytest.raises(TypeError, match="non-exact coefficient 0.2"):
+            route([1, 0.2])
+        assert route([1, "1/2"]) == route([Fraction(1), Fraction(1, 2)])
+
+
 @settings(max_examples=30)
 @given(st.lists(rationals, min_size=1, max_size=7))
 def test_moment_cumulant_roundtrip(ms):
