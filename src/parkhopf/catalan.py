@@ -7,11 +7,11 @@ the dual multiplication into noncommutative symmetric functions.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
+from itertools import product
 
-from .gbasis import convolution, parkization_fiber
-from .linear import Lin, _build, extend_bilinear, invert_unitriangular, lin_sum
+from .gbasis import convolution, g_coproduct, parkization_fiber
+from .linear import Lin, _build, extend_bilinear, lin_sum
 from .symfun import ns_product
 from .words import (
     Composition,
@@ -53,24 +53,10 @@ p_mul = extend_bilinear(lambda a, b: Lin.basis(p_product(a, b)))
 def p_coproduct(pi: Word) -> Lin:
     """Split the multiset of letters in all ways, parkizing both parts."""
     pi = _check_label(pi)
-    values = sorted(set(pi))
-    mult = [pi.count(v) for v in values]
-    return _build(((parkize(_repeat(values, pick)),
-                    parkize(_repeat(values, [m - k for k, m in zip(pick, mult)]))), 1)
-                  for pick in _sub_multisets(mult))
-
-
-def _repeat(values, counts) -> Word:
-    return tuple(v for v, k in zip(values, counts) for _ in range(k))
-
-
-def _sub_multisets(mult):
-    if not mult:
-        yield ()
-        return
-    for rest in _sub_multisets(mult[1:]):
-        for k in range(mult[0] + 1):
-            yield (k,) + rest
+    ev = evaluation(pi, len(pi))
+    return _build(((parkize(word_of_evaluation(pick)),
+                    parkize(word_of_evaluation([m - k for k, m in zip(pick, ev)]))), 1)
+                  for pick in product(*(range(m + 1) for m in ev)))
 
 
 def m_product(p1: Word, p2: Word) -> Lin:
@@ -83,11 +69,8 @@ m_mul = extend_bilinear(m_product)
 
 
 def m_coproduct(pi: Word) -> Lin:
-    """Deconcatenate at the points where the label splits."""
-    pi = _check_label(pi)
-    n = len(pi)
-    return _build(((pi[:k], tuple(x - k for x in pi[k:])), 1)
-                  for k in range(n + 1) if k in (0, n) or pi[k] == k + 1)
+    """G's coproduct: it deconcatenates at each k with pi[k] == k + 1."""
+    return g_coproduct(_check_label(pi))
 
 
 def m_polynomial(pi: Word, k: int) -> dict[tuple[int, ...], int]:
@@ -101,10 +84,8 @@ def m_polynomial(pi: Word, k: int) -> dict[tuple[int, ...], int]:
         raise ValueError("insufficient variables")
     out: dict[tuple[int, ...], int] = {}
     for w in parkization_fiber(pi, k):
-        expo = [0] * k
-        for x in w:
-            expo[x - 1] += 1
-        out[tuple(expo)] = out.get(tuple(expo), 0) + 1
+        expo = evaluation(w, k)
+        out[expo] = out.get(expo, 0) + 1
     return out
 
 
@@ -129,11 +110,16 @@ def p_to_r(pi: Word) -> Lin:
 
 @lru_cache(maxsize=None)
 def _r_in_p(n: int) -> dict[Word, Lin]:
-    return invert_unitriangular(tuple(nondecreasing_parking_functions(n)), p_to_r)
+    """Moebius inversion of `p_to_r`: the closure of pi is the Boolean
+    lattice on the junctions of its evaluation blocks (as in
+    `symfun.ribbon_h`), so each sign is (-1) to the number of merges."""
+    return {pi: _build((rho, (-1) ** (len(set(pi)) - len(set(rho))))
+                       for rho in successor_closure(pi))
+            for pi in nondecreasing_parking_functions(n)}
 
 
 def r_to_p(pi: Word) -> Lin:
-    """R in the P-basis, by inverting the closure sums degreewise."""
+    """R in the P-basis: signed sum over the successor closure."""
     pi = _check_label(pi)
     return _r_in_p(len(pi))[pi]
 
@@ -197,24 +183,22 @@ def g_series(order: int) -> list[Lin]:
 
     Each coefficient is an integer combination of complete-generator
     words S^I with sum(I) = degree.
+
+    pw[s][j], the degree-j part of g^s, grows by one entry per degree as
+    in `symfun._lower_terms`; then g_m = sum_s S_s pw[s][m - s].
     """
     g: list[Lin] = [Lin.basis(())]
+    pw: list[list[Lin]] = [[g[0]]]
     for m in range(1, order + 1):
-        g.append(lin_sum(ns_product(Lin.basis((n,)), _graded_power(g, n, m - n))
-                         for n in range(1, m + 1)))
+        pw[0].append(Lin())
+        for s in range(1, m):
+            j, prev = m - s, pw[s - 1]
+            pw[s].append(lin_sum(ns_product(g[i], prev[j - i])
+                                 for i in range(j + 1)))
+        pw.append([g[0]])
+        g.append(lin_sum(ns_product(Lin.basis((s,)), pw[s][m - s])
+                         for s in range(1, m + 1)))
     return g
-
-
-def _graded_power(g: list[Lin], k: int, d: int) -> Lin:
-    """Sum of all k-fold products of g-coefficients with total degree d."""
-    cur: dict[int, Lin] = {0: Lin.basis(())}
-    for _ in range(k):
-        terms: dict[int, list[Lin]] = defaultdict(list)
-        for d0, lin0 in cur.items():
-            for j in range(d - d0 + 1):
-                terms[d0 + j].append(ns_product(lin0, g[j]))
-        cur = {e: lin_sum(ts) for e, ts in terms.items()}
-    return cur.get(d, Lin())
 
 
 def g_weighted_coefficient_sum(n: int):

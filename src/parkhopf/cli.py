@@ -22,7 +22,7 @@ ENUM_BOUND = 8
 SERIES_BOUND = 12
 DEGREE_BOUND = 6
 CUMULANT_BOUND = 20
-ENUM_BLOCK = 4096  # lines per write of the enum text stream
+ENUM_BLOCK = 4096  # words per write of the enum stream
 
 
 class _MalformedOverride(ValueError):
@@ -77,26 +77,46 @@ def cmd_enum(args) -> int:
         listed = words.enumerate_class(args.kind, args.n)
     except ValueError as exc:
         return _die(3, str(exc))
-    if args.format == "text" and not args.out:
-        try:
-            # one write per block of lines: each write to an unbuffered
-            # stdout (PYTHONUNBUFFERED) is a system call
-            while block := "".join([render_word(a) + "\n"
-                                    for a in islice(listed, ENUM_BLOCK)]):
-                sys.stdout.write(block)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader stopped early (`| head`); the interpreter's final
-            # flush would fail again unless stdout goes somewhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    listed = list(listed)
-    text = None
-    if args.format == "text" and listed:
-        text = "\n".join(map(render_word, listed))
-    _emit(args, text,
-          {"kind": args.kind, "n": args.n, "words": [list(a) for a in listed]})
+    sinks = [_enum_sink(sys.stdout, args, None) if args.format == "json"
+             else (sys.stdout, "", render_word, "\n", "\n", "")]
+    out = open(args.out, "w", encoding="utf-8") if args.out else None
+    try:
+        if out:
+            sinks.append(_enum_sink(out, args, 2))
+        # one write per sink per block of words: each write to an
+        # unbuffered stdout (PYTHONUNBUFFERED) is a system call
+        first = True
+        while block := list(islice(listed, ENUM_BLOCK)):
+            for fh, head, render, sep, _tail, _empty in sinks:
+                fh.write((head if first else sep) + sep.join(map(render, block)))
+            first = False
+        for fh, _head, _render, _sep, tail, empty in sinks:
+            fh.write(empty if first else tail)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); the interpreter's final
+        # flush would fail again unless stdout goes somewhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        if out:
+            out.close()
     return 0
+
+
+def _enum_sink(fh, args, indent: int | None):
+    """(file, head, render, separator, tail, empty form) writing the enum
+    payload as json.dump(..., sort_keys=True, indent=indent) would, plus a
+    final newline."""
+    kind = json.dumps(args.kind)
+    if indent is None:
+        head = f'{{"kind": {kind}, "n": {args.n}, "words": '
+        return (fh, head + "[", lambda a: "[" + ", ".join(map(str, a)) + "]",
+                ", ", "]}\n", head + "[]}\n")
+    head = f'{{\n  "kind": {kind},\n  "n": {args.n},\n  "words": '
+    return (fh, head + "[\n",
+            lambda a: "    [\n      " + ",\n      ".join(map(str, a)) + "\n    ]"
+            if a else "    []",
+            ",\n", "\n  ]\n}\n", head + "[]\n}\n")
 
 
 OPS = {

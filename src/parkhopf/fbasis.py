@@ -9,7 +9,6 @@ recursion kept alongside as an independent oracle).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .linear import (Lin, _build, extend_bilinear, extend_linear,
@@ -54,10 +53,6 @@ def f_coproduct(a: Word) -> Lin:
 
 
 f_comul = extend_linear(f_coproduct)
-
-
-def counit(x: Lin) -> int | Fraction:
-    return x.coeff(())
 
 
 def f_antipode(a: Word) -> Lin:

@@ -9,11 +9,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement
 from math import comb
-from operator import ge
+from operator import ge, mul
 
 from .fbasis import _f_in_mult_basis, f_coproduct
 from .linear import (Lin, _build, extend_bilinear, extend_linear,
                      invert_unitriangular)
+from .series import SeriesOps
 from .words import (
     Word,
     breakpoints,
@@ -195,20 +196,13 @@ def lie_generator_series(order: int) -> list[int]:
     counts a free generating set degree by degree.
     """
     c = connected_counts(order)
-    prod = [1] + [0] * order
+    ops = SeriesOps(order, 0, 1, mul)
+    prod = [1]
     for n in range(1, order + 1):
-        cn = c[n - 1]
         factor = [0] * (order + 1)
         for k in range(order // n + 1):
-            factor[n * k] = (-1) ** k * comb(cn, k)
-        new = [0] * (order + 1)
-        for i, pi in enumerate(prod):
-            if pi == 0:
-                continue
-            for j in range(order + 1 - i):
-                if factor[j]:
-                    new[i + j] += pi * factor[j]
-        prod = new
+            factor[n * k] = (-1) ** k * comb(c[n - 1], k)
+        prod = ops.mul(prod, factor)
     return [-prod[k] for k in range(1, order + 1)]
 
 

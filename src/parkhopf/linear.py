@@ -224,9 +224,11 @@ def tensor_map(left: Callable[[Label], Lin], right: Callable[[Label], Lin]) -> C
     """Apply label maps to the two legs of a tensor element."""
 
     def apply(x: Lin) -> Lin:
+        # each leg is mapped once per tensor term
         return _build(((k1, k2), c * c1 * c2) for (a, b), c in x.items()
-                      for k1, c1 in left(a).items()
-                      for k2, c2 in right(b).items())
+                      for la, rb in [(left(a), right(b))]
+                      for k1, c1 in la.items()
+                      for k2, c2 in rb.items())
 
     return apply
 

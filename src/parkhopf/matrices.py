@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .linear import Lin, _build, extend_bilinear, extend_linear
-from .words import Word, defect
+from .words import Word, parkize
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -101,20 +101,19 @@ def augmented_shuffle(p: Matrix, q: Matrix) -> list[Matrix]:
 
 
 def matrix_parkize(m: Matrix) -> Matrix:
-    """Delete the (all-zero) defect column until the reading parks, then
-    trim trailing zero columns so the width matches the number of ones."""
+    """Relabel the columns by the parkization of the reading and trim
+    trailing zero columns so the width is at most the number of ones;
+    fixed points (reading parks, width <= ones) come back as they are."""
     m = _normalize(m)
-    while True:
-        r = reading(m)
-        d = defect(r)
-        if d == len(r) + 1:
-            break
-        assert all(row[d - 1] == 0 for row in m)
-        m = tuple(row[: d - 1] + row[d:] for row in m)
-    n = ones(m)
-    while width(m) > n and not any(row[-1] for row in m):
-        m = tuple(row[:-1] for row in m)
-    return m
+    r = reading(m)
+    p = parkize(r)
+    n = len(r)
+    if p == r and width(m) <= n:
+        return m
+    cols = min(width(m) - max(r, default=0) + max(p, default=0), n)
+    source = dict(zip(p, r))  # new column -> old column, for nonzero columns
+    pick = [source.get(c, 0) - 1 for c in range(1, cols + 1)]
+    return tuple(tuple(row[j] if j >= 0 else 0 for j in pick) for row in m)
 
 
 def mp_product(p: Matrix, q: Matrix) -> Lin:

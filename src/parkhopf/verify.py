@@ -859,10 +859,7 @@ def check_gamma_morphism(d: int) -> tuple[bool, str]:
 
 def check_ribbon_triangularity(d: int) -> tuple[bool, str]:
     for n in range(1, min(d, 6) + 1):
-        try:
-            table = catalan._r_in_p(n)
-        except ValueError as exc:
-            return _fail(f"ribbon transition at n={n}: {exc}")
+        table = catalan._r_in_p(n)
         for pi in LABELS["P"](n):
             closure = words.successor_closure(pi)
             expansion = table[pi]
@@ -1038,11 +1035,11 @@ def check_s_primitive(d: int) -> tuple[bool, str]:
 
 def check_graded_dimensions(d: int) -> tuple[bool, str]:
     for n in range(1, min(d, 5) + 1):
-        if words.space_dimension("PQSym", n) != words.pf_count(n):
+        if len(LABELS["F"](n)) != words.pf_count(n):
             return _fail("parking dimension table broken")
-        if words.space_dimension("CQSym", n) != words.catalan(n):
+        if len(LABELS["P"](n)) != words.catalan(n):
             return _fail("Catalan dimension table broken")
-        if words.space_dimension("SQSym", n) != words.schroder_count(n):
+        if len(LABELS["Pq"](n)) != words.schroder_count(n):
             return _fail("class dimension table broken")
     return OK
 

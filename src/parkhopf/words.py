@@ -513,21 +513,6 @@ def connected_parking_functions(n: int):
     return _parking_words(n, connected=True)
 
 
-ENUM_KINDS = ("pf", "prime", "nondecreasing", "connected")
-
-
-def enumerate_class(kind: str, n: int):
-    if kind == "pf":
-        return parking_functions(n)
-    if kind == "prime":
-        return prime_parking_functions(n)
-    if kind == "nondecreasing":
-        return nondecreasing_parking_functions(n)
-    if kind == "connected":
-        return connected_parking_functions(n)
-    raise ValueError(f"unknown class {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def parking_list(n: int) -> tuple[Word, ...]:
     """Cached tuple of all parking functions of length n, in lexicographic order."""
@@ -574,27 +559,33 @@ def connected_counts(top: int) -> list[int]:
     return c[1:]
 
 
+def connected_count(n: int) -> int:
+    return connected_counts(n)[-1] if n >= 1 else 0
+
+
+# kind -> (generator, count) of each class the command line enumerates
+_CLASSES = {
+    "pf": (parking_functions, pf_count),
+    "prime": (prime_parking_functions, ppf_count),
+    "nondecreasing": (nondecreasing_parking_functions, catalan),
+    "connected": (connected_parking_functions, connected_count),
+}
+ENUM_KINDS = tuple(_CLASSES)
+
+
+def _enum_class(kind: str):
+    try:
+        return _CLASSES[kind]
+    except KeyError:
+        raise ValueError(f"unknown class {kind!r}") from None
+
+
+def enumerate_class(kind: str, n: int):
+    return _enum_class(kind)[0](n)
+
+
 def class_count(kind: str, n: int) -> int:
-    if kind == "pf":
-        return pf_count(n)
-    if kind == "prime":
-        return ppf_count(n)
-    if kind == "nondecreasing":
-        return catalan(n)
-    if kind == "connected":
-        return connected_counts(n)[-1] if n >= 1 else 0
-    raise ValueError(f"unknown class {kind!r}")
-
-
-def space_dimension(space: str, n: int) -> int:
-    """Graded dimension of a named algebra component."""
-    if space in ("PQSym", "PQSym*"):
-        return pf_count(n)
-    if space in ("CQSym", "CQSym*"):
-        return catalan(n)
-    if space == "SQSym":
-        return schroder_count(n)
-    raise ValueError(f"unknown space {space!r}")
+    return _enum_class(kind)[1](n)
 
 
 def distinct_permutations(w: Word):

@@ -1,10 +1,14 @@
 """Nondecreasing subalgebra, its dual, ribbons, and the generator series."""
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
 from parkhopf import catalan, verify, words
-from parkhopf.linear import Lin, extend_bilinear, lin_sum
+from parkhopf.linear import (Lin, _build, extend_bilinear, invert_unitriangular,
+                             lin_sum)
+from parkhopf.symfun import ns_product
 
 
 def w(s):
@@ -61,6 +65,19 @@ def test_m_coproduct_deconcatenates():
     assert got == want
 
 
+def _m_coproduct_by_deconcatenation(pi):
+    # reference: cut the label wherever the rest starts one above the cut
+    n = len(pi)
+    return _build(((pi[:k], tuple(x - k for x in pi[k:])), 1)
+                  for k in range(n + 1) if k in (0, n) or pi[k] == k + 1)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_m_coproduct_matches_deconcatenation(n):
+    for pi in words.nondecreasing_parking_functions(n):
+        assert catalan.m_coproduct(pi) == _m_coproduct_by_deconcatenation(pi), pi
+
+
 def test_m_polynomial():
     poly = catalan.m_polynomial(w("112"), 5)
     assert poly == {(2, 1, 0, 0, 0): 1, (0, 2, 1, 0, 0): 1,
@@ -89,6 +106,13 @@ def test_ribbon_transition():
     r = catalan.r_to_p(w("113"))
     assert r == Lin.basis(w("113")) - Lin.basis(w("111"))
     assert verify.check_ribbon_triangularity(5)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_r_in_p_matches_the_unitriangular_inverse(n):
+    # reference: solve P = sum R over the successor closure degreewise
+    labels = tuple(words.nondecreasing_parking_functions(n))
+    assert catalan._r_in_p(n) == invert_unitriangular(labels, catalan.p_to_r)
 
 
 def test_ribbon_product_reference_route():
@@ -152,3 +176,26 @@ def test_g_routes_report():
     ok, report = verify.report_g_routes(4)
     assert ok
     assert "n=3: factor-type route != g_n, evaluation route == g_n" in report
+
+
+def _g_series_by_graded_powers(order):
+    # reference: every k-fold product of g-coefficients, rebuilt per degree
+    def graded_power(g, k, d):
+        cur = {0: Lin.basis(())}
+        for _ in range(k):
+            terms = defaultdict(list)
+            for d0, lin0 in cur.items():
+                for j in range(d - d0 + 1):
+                    terms[d0 + j].append(ns_product(lin0, g[j]))
+            cur = {e: lin_sum(ts) for e, ts in terms.items()}
+        return cur.get(d, Lin())
+
+    g = [Lin.basis(())]
+    for m in range(1, order + 1):
+        g.append(lin_sum(ns_product(Lin.basis((n,)), graded_power(g, n, m - n))
+                         for n in range(1, m + 1)))
+    return g
+
+
+def test_g_series_matches_graded_powers():
+    assert catalan.g_series(10) == _g_series_by_graded_powers(10)

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -77,6 +79,18 @@ def test_enum_empty_class_with_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     assert json.loads(target.read_text()) == {"kind": "prime", "n": 0,
                                               "words": []}
+
+
+def test_enum_json_streams_the_class():
+    # 262 144 words: holding them as lists takes about 70 MB, a block 1 MB
+    with open(os.devnull, "w", encoding="utf-8") as null, redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            assert main(["enum", "pf", "7", "--format", "json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_enum_into_a_closed_pipe_exits_quietly():

@@ -46,11 +46,6 @@ def test_coproduct_term_count():
         assert sum(c for _, c in fbasis.f_coproduct(a).items()) == len(a) + 1
 
 
-def test_counit():
-    assert fbasis.counit(Lin.basis(())) == 1
-    assert fbasis.counit(Lin.basis((1, 2))) == 0
-
-
 def test_antipode_example():
     got = fbasis.f_antipode(w("122"))
     want = (Lin.basis(w("212")) + Lin.basis(w("221"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -182,6 +183,28 @@ def test_st_dual_bases_equal_the_coefficient_probes(n):
 
 def test_lie_series():
     assert gbasis.lie_generator_series(6) == [1, 2, 9, 80, 901, 12564]
+
+
+def _lie_series_by_product_loop(order):
+    # reference: multiply out prod_n (1 - t^n)^{c_n} with an explicit loop
+    c = words.connected_counts(order)
+    prod = [1] + [0] * order
+    for n in range(1, order + 1):
+        factor = [0] * (order + 1)
+        for k in range(order // n + 1):
+            factor[n * k] = (-1) ** k * comb(c[n - 1], k)
+        new = [0] * (order + 1)
+        for i, pi in enumerate(prod):
+            for j in range(order + 1 - i):
+                new[i + j] += pi * factor[j]
+        prod = new
+    return [-prod[k] for k in range(1, order + 1)]
+
+
+def test_lie_series_matches_the_product_loop():
+    for order in range(13):
+        assert (gbasis.lie_generator_series(order)
+                == _lie_series_by_product_loop(order)), order
 
 
 def test_eta_star():

@@ -67,6 +67,19 @@ def test_tensor_and_maps():
     assert tensor_map(doubler, doubler)(t).coeff(((1,), (2,))) == 4
 
 
+def test_tensor_map_maps_each_leg_once_per_term():
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return Lin.basis(a)
+
+    three = lambda a: lin_sum(Lin.basis(a + (k,)) for k in range(3))
+    t = tensor(Lin.basis((1,)), Lin.basis((2,)))
+    assert len(tensor_map(three, counted)(t)) == 3
+    assert calls == [(2,)]
+
+
 def test_extend_linear_bilinear():
     dup = extend_linear(lambda a: Lin.basis(a + a))
     assert dup(Lin.basis((1,), 3)).coeff((1, 1)) == 3

@@ -1,8 +1,11 @@
 """Packed (0,1)-matrix realization."""
 from __future__ import annotations
 
+import itertools
 import random
 from itertools import combinations
+
+import pytest
 
 from parkhopf import matrices, verify, words
 
@@ -69,6 +72,34 @@ def test_augmented_shuffle_matches_the_cover_filter():
         q = rng.choice(matrices.word_matrices(rng.choice(labels)))
         assert matrices.augmented_shuffle(p, q) == \
             _augmented_shuffle_by_cover(p, q), (p, q)
+
+
+def _matrix_parkize_by_deletion(m):
+    # reference: delete the (all-zero) defect column until the reading
+    # parks, then trim trailing zero columns down to the number of ones
+    m = tuple(tuple(row) for row in m)
+    while True:
+        r = matrices.reading(m)
+        d = words.defect(r)
+        if d == len(r) + 1:
+            break
+        assert all(row[d - 1] == 0 for row in m)
+        m = tuple(row[: d - 1] + row[d:] for row in m)
+    n = matrices.ones(m)
+    while matrices.width(m) > n and not any(row[-1] for row in m):
+        m = tuple(row[:-1] for row in m)
+    return m
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_matrix_parkize_matches_the_deletion_loop(k):
+    for w in itertools.product(range(1, 6), repeat=k):
+        for width in range(max(w, default=0), k + 3):
+            for m in matrices.word_matrices(w, width):
+                assert (matrices.matrix_parkize(m)
+                        == _matrix_parkize_by_deletion(m)), m
+    for m in [(), ((0, 0, 0),), ((0, 1, 0), (0, 0, 0)), ((0, 0), (0, 1))]:
+        assert matrices.matrix_parkize(m) == _matrix_parkize_by_deletion(m), m
 
 
 def test_matrix_parkize():

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from parkhopf import words
+from parkhopf import verify, words
 
 random_word = st.lists(st.integers(min_value=1, max_value=9),
                        min_size=0, max_size=7).map(tuple)
@@ -241,8 +241,13 @@ def test_enumeration_kinds():
     assert words.class_count("nondecreasing", 4) == 14
     with pytest.raises(ValueError):
         words.class_count("bogus", 3)
-    with pytest.raises(ValueError):
-        words.space_dimension("bogus", 3)
+
+
+def test_dimension_table_checks_the_counts_against_the_labels(monkeypatch):
+    assert verify.check_graded_dimensions(4)[0]
+    monkeypatch.setattr(words, "catalan", lambda n: 0)
+    assert verify.check_graded_dimensions(4) == (
+        False, "Catalan dimension table broken")
 
 
 @pytest.mark.parametrize("n", range(1, 6))
