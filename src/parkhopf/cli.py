@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import catalan, gbasis, symfun, words
+from . import catalan, gbasis, schroder, symfun, words
 from .algebras import ANTIPODE, BASES, COMUL, MUL, SUITES
 from .jsonio import (format_coeff, lin_to_json, lin_to_text, render_word,
                      tensor_to_json, tensor_to_text)
@@ -25,8 +25,8 @@ CUMULANT_BOUND = 20
 ENUM_BLOCK = 4096  # words per write of the enum stream
 
 
-class _MalformedOverride(ValueError):
-    pass
+class _Refused(Exception):
+    """Malformed input found below a subcommand: exit 3 with its message."""
 
 
 def _bound(default: int) -> int:
@@ -37,7 +37,7 @@ def _bound(default: int) -> int:
     try:
         return max(default, int(env))
     except ValueError:
-        raise _MalformedOverride(
+        raise _Refused(
             f"malformed PARKHOPF_MAX_N: {env!r} is not an integer") from None
 
 
@@ -46,16 +46,32 @@ def _die(code: int, msg: str) -> int:
     return code
 
 
+def _open_out(args):
+    """The --out file opened for writing, or None without --out."""
+    if not args.out:
+        return None
+    try:
+        return open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _Refused(f"cannot write {args.out}: {exc.strerror}") from None
+
+
 def _emit(args, text: str | None, payload) -> None:
-    """Print text (None prints nothing) or JSON; also write JSON to --out."""
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    elif text is not None:
-        print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    """Print text (None prints nothing) or JSON; also write JSON to --out.
+
+    The file is opened first, so an unwritable --out prints nothing."""
+    out = _open_out(args)
+    try:
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        elif text is not None:
+            print(text)
+        if out:
+            json.dump(payload, out, sort_keys=True, indent=2)
+            out.write("\n")
+    finally:
+        if out:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +95,7 @@ def cmd_enum(args) -> int:
         return _die(3, str(exc))
     sinks = [_enum_sink(sys.stdout, args, None) if args.format == "json"
              else (sys.stdout, "", render_word, "\n", "\n", "")]
-    out = open(args.out, "w", encoding="utf-8") if args.out else None
+    out = _open_out(args)
     try:
         if out:
             sinks.append(_enum_sink(out, args, 2))
@@ -135,6 +151,13 @@ def cmd_op(args) -> int:
         op = table.get(args.basis)
         if op is None:
             raise ValueError(f"{noun} not available in basis {args.basis}")
+        if args.basis in ("Pq", "Q"):
+            # operating on or rendering a class builds its degree's whole
+            # class table, so the output degree gets the enumeration bound
+            degree = sum(map(schroder.key_degree, labels))
+            bound = _bound(ENUM_BOUND)
+            if degree > bound:
+                return _die(2, f"class table bound exceeded: degree {degree} > {bound}")
         result = op(*labels)
     except ValueError as exc:
         return _die(3, str(exc))
@@ -292,7 +315,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _MalformedOverride as exc:
+    except _Refused as exc:
         return _die(3, str(exc))
 
 

@@ -8,12 +8,14 @@ constant on classes.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
+from operator import itemgetter
 
 from .fbasis import f_comul, f_mul
 from .gbasis import g_mul
 from .linear import Lin, _build
-from .words import Word, is_parking, parking_list
+from .words import Word, evaluation, is_parking, parking_list
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -66,13 +68,75 @@ def key_degree(key: Key) -> int:
     return sum(key[0])
 
 
+def _recoil_pickers(m: tuple[int, ...]) -> list:
+    """Pairs (recoil composition, picker) for the rearrangements of
+    1^m1 ... k^mk: given their lexicographic list, a picker returns, as a
+    tuple, those with its recoil composition.
+
+    A depth-first walk places the letters left to right in lexicographic
+    order.  As in `hypo_key`, a recoil starts at letter j when a j is
+    placed while a j - 1 is still unplaced; equivalently, when the first j is.
+    """
+    left = list(m)
+    sets: list[int] = []  # recoil set of each rearrangement (bit j: letter j)
+
+    def place(todo: int, recoil_set: int) -> None:
+        if not todo:
+            sets.append(recoil_set)
+            return
+        for j in range(len(m)):
+            if left[j]:
+                bit = 1 << j if j and left[j - 1] else 0
+                left[j] -= 1
+                place(todo - 1, recoil_set | bit)
+                left[j] += 1
+
+    place(sum(m), 0)
+    ranks: dict[int, list[int]] = defaultdict(list)
+    for rank, recoil_set in enumerate(sets):
+        ranks[recoil_set].append(rank)
+    pickers = []
+    for recoil_set, rs in ranks.items():
+        parts: list[int] = []  # m cut before each recoil letter
+        for j, mj in enumerate(m):
+            if j and not recoil_set >> j & 1:
+                parts[-1] += mj
+            else:
+                parts.append(mj)
+        # itemgetter of one index returns the item, not a 1-tuple
+        getter = (itemgetter(*rs) if len(rs) > 1
+                  else itemgetter(slice(rs[0], rs[0] + 1)))
+        pickers.append((tuple(parts), getter))
+    return pickers
+
+
 @lru_cache(maxsize=None)
 def classes(n: int) -> dict[Key, tuple[Word, ...]]:
-    """Degree-n parking functions grouped by class key."""
-    by_key: dict[Key, list[Word]] = {}
+    """Degree-n parking functions grouped by class key, keys in the order
+    of their classes' lexicographically first members.
+
+    A class lies inside one evaluation, and the words of an evaluation are
+    the rearrangements of one nondecreasing parking function, listed by
+    `parking_list` in lexicographic order.  Within an evaluation, a word's
+    recoil composition depends only on the multiplicities (m1, ..., mk) of
+    its letters and on its rank among those rearrangements.  So the words
+    are grouped by their sorted form, and each group is cut into classes
+    by the rank pickers of its multiplicities, built once per composition.
+    The members are the tuples of `parking_list(n)` themselves.
+    """
+    groups: dict[Word, list[Word]] = defaultdict(list)
     for a in parking_list(n):
-        by_key.setdefault(hypo_key(a), []).append(a)
-    return {k: tuple(v) for k, v in by_key.items()}
+        groups[tuple(sorted(a))].append(a)
+    pickers: dict[tuple[int, ...], list] = {}  # multiplicities -> pickers
+    found = []
+    for group in map(tuple, groups.values()):
+        ev = evaluation(group[0], n)
+        m = tuple(filter(None, ev))
+        if m not in pickers:
+            pickers[m] = _recoil_pickers(m)
+        found.extend(((ev, recoils), pick(group)) for recoils, pick in pickers[m])
+    found.sort(key=lambda kv: kv[1][0])
+    return dict(found)
 
 
 def schroder_dim(n: int) -> int:

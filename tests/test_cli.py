@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from parkhopf import words
+from parkhopf import cli, words
 from parkhopf.cli import main
 from parkhopf.jsonio import render_word
 
@@ -217,6 +217,53 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "F_12 + F_21"
     doc = json.loads(target.read_text())
     assert doc["algebra"] == "PQSym"
+
+
+# the command line in a child capped at 512 MiB of address space
+_LIMITED_CLI = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29)); "
+                "from parkhopf.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _run_cli(*argv, timeout=60):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PARKHOPF_MAX_N", None)
+    return subprocess.run([sys.executable, "-c", _LIMITED_CLI, *argv],
+                          env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [("comul", "--basis", "G", "41252"),
+                                  ("enum", "pf", "2")])
+def test_unwritable_out_file_is_malformed_input(tmp_path, argv):
+    target = tmp_path / "no" / "such" / "dir" / "x.json"
+    proc = _run_cli(*argv, "--out", str(target))
+    err = proc.stderr.decode()
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert err.startswith(f"parkhopf: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_class_operations_are_bounded_before_any_table():
+    # degree 10 would list about 2.4e9 parking functions
+    proc = _run_cli("mul", "--basis", "Q", "11111", "11111", timeout=5)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == (
+        b"parkhopf: class table bound exceeded: degree 10 > 8\n")
+
+
+def test_class_bound_is_raised_by_the_override(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ENUM_BOUND", 3)
+    for argv in (("mul", "--basis", "Q", "11", "11"),
+                 ("comul", "--basis", "Pq", "1211")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "degree 4 > 3" in err
+    monkeypatch.setenv("PARKHOPF_MAX_N", "4")
+    code, out, _ = run(capsys, "mul", "--basis", "Q", "11", "11")
+    assert code == 0
+    assert out.strip() == "Q_1133 + Q_1313 + Q_1122 + Q_1212 + Q_1111"
+    code, out, _ = run(capsys, "comul", "--basis", "Pq", "1211")
+    assert code == 0 and out.startswith("1 (x) Pq_1121 + ")
 
 
 def test_series_outputs(capsys):

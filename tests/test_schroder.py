@@ -51,14 +51,44 @@ def test_hypo_key_matches_the_standardization_reference():
         assert schroder.hypo_key(a) == _reference_key(a), a
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_classes_match_the_sorted_grouping(n):
+    # at n = 7 the per-word key is hypo_key, checked above against the
+    # standardization reference, which would take seconds on 262 144 words
+    key = schroder.hypo_key if n == 7 else _reference_key
     want: dict = {}
     for a in sorted(words.parking_list(n)):
-        want.setdefault(_reference_key(a), []).append(a)
+        want.setdefault(key(a), []).append(a)
     got = schroder.classes(n)
     assert list(got) == list(want)
     assert got == {k: tuple(v) for k, v in want.items()}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_members_are_the_listed_tuples(n):
+    # the table shares the words of parking_list(n) rather than copying them
+    listed = {a: a for a in words.parking_list(n)}
+    for members in schroder.classes(n).values():
+        assert type(members) is tuple
+        assert all(a is listed[a] for a in members)
+
+
+def test_classes_of_degree_zero():
+    assert schroder.classes(0) == {((), ()): ((),)}
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_recoil_pickers_match_hypo_key(n):
+    for m in words.compositions(n):
+        ranked = tuple(words.distinct_permutations(words.word_of_evaluation(m)))
+        picked = []
+        for recoils, pick in schroder._recoil_pickers(m):
+            members = pick(ranked)
+            assert type(members) is tuple and members, (m, recoils)
+            for a in members:
+                assert schroder.hypo_key(a)[1] == recoils, (m, a)
+            picked.extend(members)
+        assert sorted(picked) == list(ranked), m
 
 
 @pytest.mark.parametrize("bad", [(0, 1), (1, 0), (2, -1)])
