@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 safety-bound violation,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from .jsonio import (format_coeff, lin_to_json, lin_to_text, render_word,
 
 ENUM_BOUND = 8
 SERIES_BOUND = 12
-DEGREE_BOUND = 6
+DEGREE_BOUND = 5
 CUMULANT_BOUND = 20
 ENUM_BLOCK = 4096  # words per write of the enum stream
 
@@ -54,6 +55,24 @@ def _open_out(args):
         return open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         raise _Refused(f"cannot write {args.out}: {exc.strerror}") from None
+
+
+def _check_out(args) -> None:
+    """Refuse an --out path whose directory is missing or unwritable, or
+    that is a directory, before any work and creating no file; `_open_out`
+    still reports what only opening finds."""
+    if not args.out:
+        return
+    parent = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _Refused(f"cannot write {args.out}: {os.strerror(code)}")
 
 
 def _emit(args, text: str | None, payload) -> None:
@@ -158,6 +177,7 @@ def cmd_op(args) -> int:
             bound = _bound(ENUM_BOUND)
             if degree > bound:
                 return _die(2, f"class table bound exceeded: degree {degree} > {bound}")
+        _check_out(args)
         result = op(*labels)
     except ValueError as exc:
         return _die(3, str(exc))
@@ -236,6 +256,7 @@ def cmd_verify(args) -> int:
     bound = _bound(DEGREE_BOUND)
     if args.max_degree > bound:
         return _die(2, f"degree bound exceeded: {args.max_degree} > {bound}")
+    _check_out(args)
     from . import verify  # only this command pays for the suites' import
     results = verify.run(args.suite, args.max_degree)
     lines = []

@@ -234,7 +234,9 @@ def _run_cli(*argv, timeout=60):
 
 
 @pytest.mark.parametrize("argv", [("comul", "--basis", "G", "41252"),
-                                  ("enum", "pf", "2")])
+                                  ("enum", "pf", "2"),
+                                  ("verify", "--suite", "counts",
+                                   "--max-degree", "1")])
 def test_unwritable_out_file_is_malformed_input(tmp_path, argv):
     target = tmp_path / "no" / "such" / "dir" / "x.json"
     proc = _run_cli(*argv, "--out", str(target))
@@ -242,6 +244,26 @@ def test_unwritable_out_file_is_malformed_input(tmp_path, argv):
     assert proc.returncode == 3 and proc.stdout == b""
     assert err.startswith(f"parkhopf: cannot write {target}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("comul", "--basis", "G", "12")],
+                         ids=["verify", "comul"])
+@pytest.mark.parametrize("where", [("no", "x.json"), ()],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_file_is_refused_before_the_work(capsys, monkeypatch,
+                                                        tmp_path, argv, where):
+    from parkhopf import verify
+
+    def work(*_args):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(verify, "run", work)
+    monkeypatch.setitem(cli.COMUL, "G", work)
+    target = tmp_path.joinpath(*where)  # a missing directory, or a directory
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith(f"parkhopf: cannot write {target}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_class_operations_are_bounded_before_any_table():
@@ -327,9 +349,10 @@ def test_verify_unknown_suite_is_rejected_by_the_parser():
 
 
 def test_verify_degree_bound(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "counts",
-                       "--max-degree", "7")
-    assert code == 2 and "bound" in err
+    for degree in ("6", "7"):
+        code, _, err = run(capsys, "verify", "--suite", "counts",
+                           "--max-degree", degree)
+        assert code == 2 and f"degree bound exceeded: {degree} > 5" in err
 
 
 @pytest.mark.parametrize("argv", [("enum", "pf", "-1"),

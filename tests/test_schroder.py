@@ -150,7 +150,7 @@ def test_pq_closure_and_coproduct():
 
 
 def test_quotient_well_defined():
-    assert verify.check_schroder_quotient(3)[0]
+    assert verify.check_schroder_quotient(5)[0]
 
 
 def test_qq_product_projects_convolution():
