@@ -102,6 +102,7 @@ def cmd_enum(args) -> int:
     bound = _bound(ENUM_BOUND)
     if args.n > bound:
         return _die(2, f"enumeration bound exceeded: n={args.n} > {bound}")
+    _check_out(args)
     try:
         if args.count_only:
             count = words.class_count(args.kind, args.n)
@@ -192,6 +193,7 @@ def cmd_series(args) -> int:
     bound = _bound(SERIES_BOUND)
     if args.N > bound:
         return _die(2, f"series bound exceeded: N={args.N} > {bound}")
+    _check_out(args)
     n = args.N
     if args.which == "connected":
         coeffs = words.connected_counts(n)
@@ -231,6 +233,7 @@ def cmd_cumulants(args) -> int:
     bound = _bound(CUMULANT_BOUND)
     if len(seq) > bound:
         return _die(2, f"sequence bound exceeded: {len(seq)} > {bound}")
+    _check_out(args)
     if args.moments is not None:
         out = symfun.moments_to_cumulants(seq)
         direction = "moments->cumulants"

@@ -7,7 +7,8 @@ parkization.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
+from operator import itemgetter
 
 from .linear import Lin, _build, extend_bilinear, extend_linear
 from .words import Word, parkize
@@ -16,7 +17,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _normalize(m) -> Matrix:
-    return tuple(tuple(row) for row in m)
+    return tuple(map(tuple, m))
 
 
 def width(m: Matrix) -> int:
@@ -29,7 +30,10 @@ def ones(m: Matrix) -> int:
 
 def reading(m: Matrix) -> Word:
     """Row-major list of column indices of the ones."""
-    return tuple(j + 1 for row in m for j, x in enumerate(row) if x)
+    if not m:
+        return ()
+    return tuple(compress(tuple(range(1, len(m[0]) + 1)) * len(m),
+                          chain.from_iterable(m)))
 
 
 def is_packed(m: Matrix) -> bool:
@@ -58,19 +62,21 @@ def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:
         return [()]
     if max(a) > cols:
         return []
-    ascents = [i for i in range(1, n) if a[i - 1] < a[i]]
-    forced = [i for i in range(1, n) if a[i - 1] >= a[i]]
-    out = []
-    for extra in chain.from_iterable(
-        combinations(ascents, k) for k in range(len(ascents) + 1)
-    ):
-        cuts = sorted(forced + list(extra))
-        rows = []
-        for lo, hi in zip([0] + cuts, cuts + [n]):
-            block = set(a[lo:hi])
-            rows.append(tuple(1 if j + 1 in block else 0 for j in range(cols)))
-        out.append(tuple(rows))
-    return sorted(out)
+    # the row of every block a[lo:hi] that can occur, built once
+    block = {}
+    for lo in range(n):
+        row = [0] * cols
+        for hi in range(lo + 1, n + 1):
+            row[a[hi - 1] - 1] = 1
+            block[lo, hi] = tuple(row)
+            if hi == n or a[hi - 1] >= a[hi]:
+                break
+    # (rows closed so far, start of the open block) for each cut set
+    partial = [((), 0)]
+    for i in range(1, n):
+        cut = [(rows + (block[lo, i],), i) for rows, lo in partial]
+        partial = partial + cut if a[i - 1] < a[i] else cut
+    return sorted(rows + (block[lo, n],) for rows, lo in partial)
 
 
 def word_class(a: Word) -> Lin:
@@ -113,7 +119,14 @@ def matrix_parkize(m: Matrix) -> Matrix:
     cols = min(width(m) - max(r, default=0) + max(p, default=0), n)
     source = dict(zip(p, r))  # new column -> old column, for nonzero columns
     pick = [source.get(c, 0) - 1 for c in range(1, cols + 1)]
-    return tuple(tuple(row[j] if j >= 0 else 0 for j in pick) for row in m)
+    if not pick:
+        return ((),) * len(m)
+    if -1 in pick:  # a new column with no source reads the appended zero
+        m = tuple(row + (0,) for row in m)
+    if len(pick) == 1:
+        j = pick[0]
+        return tuple((row[j],) for row in m)
+    return tuple(map(itemgetter(*pick), m))
 
 
 def mp_product(p: Matrix, q: Matrix) -> Lin:

@@ -979,22 +979,31 @@ def check_matrix_coproduct(d: int) -> tuple[bool, str]:
 
 
 def check_matrix_parkize(d: int) -> tuple[bool, str]:
+    """Matrix parkization against word parkization on every packed matrix
+    of every word of length <= d + 1 over 1..d + 1, at widths max(word),
+    len(word) and len(word) + 1: so it forms objects of degree d + 1.
+
+    Each matrix must read back to its word, leave the word's defect
+    column empty, parkize to a matrix reading the parkized word, and,
+    when the word parks, trim to as many columns as it has ones."""
     top = d + 1
     for k in range(1, top + 1):
         for word in product(range(1, top + 1), repeat=k):
-            for w in sorted({max(word), len(word), len(word) + 1}):
+            dfct = words.defect(word)
+            parked = words.parkize(word)
+            trims = words.is_parking(word)
+            for w in sorted({max(word), k, k + 1}):
                 if w < max(word):
                     continue
                 for m in matrices.word_matrices(word, width=w):
-                    r = matrices.reading(m)
-                    dfct = words.defect(r)
-                    if dfct != len(r) + 1 and any(row[dfct - 1] for row in m):
+                    if matrices.reading(m) != word:
+                        return _fail(f"{m} does not read back to {word}")
+                    if dfct != k + 1 and any(row[dfct - 1] for row in m):
                         return _fail(f"defect column of {m} not empty")
                     pm = matrices.matrix_parkize(m)
-                    if matrices.reading(pm) != words.parkize(r):
+                    if matrices.reading(pm) != parked:
                         return _fail(f"matrix parkization disagrees on {m}")
-                    if words.is_parking(r) and w >= len(r) \
-                            and matrices.width(pm) != len(r):
+                    if trims and w >= k and matrices.width(pm) != k:
                         return _fail(f"trailing trim wrong on {m}")
     if matrices.matrix_parkize(((0, 1),)) != ((1,),):
         return _fail("single-entry matrix does not parkize to [[1]]")

@@ -246,19 +246,30 @@ def test_unwritable_out_file_is_malformed_input(tmp_path, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [("verify",), ("comul", "--basis", "G", "12")],
-                         ids=["verify", "comul"])
+@pytest.mark.parametrize("argv", [("verify",), ("comul", "--basis", "G", "12"),
+                                  ("enum", "pf", "2"),
+                                  ("enum", "pf", "2", "--count-only"),
+                                  ("series", "g", "12"),
+                                  ("series", "lie", "3"),
+                                  ("cumulants", "--moments", "1,2")],
+                         ids=["verify", "comul", "enum", "enum-count",
+                              "series-g", "series-lie", "cumulants"])
 @pytest.mark.parametrize("where", [("no", "x.json"), ()],
                          ids=["missing-directory", "directory"])
 def test_unwritable_out_file_is_refused_before_the_work(capsys, monkeypatch,
                                                         tmp_path, argv, where):
-    from parkhopf import verify
+    from parkhopf import catalan, gbasis, symfun, verify, words
 
     def work(*_args):
         raise AssertionError("the work ran before --out was checked")
 
     monkeypatch.setattr(verify, "run", work)
     monkeypatch.setitem(cli.COMUL, "G", work)
+    monkeypatch.setattr(words, "enumerate_class", work)
+    monkeypatch.setattr(words, "class_count", work)
+    monkeypatch.setattr(catalan, "g_series", work)
+    monkeypatch.setattr(gbasis, "lie_generator_series", work)
+    monkeypatch.setattr(symfun, "moments_to_cumulants", work)
     target = tmp_path.joinpath(*where)  # a missing directory, or a directory
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 3 and out == ""

@@ -1,6 +1,7 @@
 """Packed (0,1)-matrix realization."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from itertools import combinations
@@ -37,6 +38,50 @@ def test_word_matrices_width_bound():
 
 def test_word_matrices_roundtrip():
     assert verify.check_word_matrices(4)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _increasing_cuts(rises):
+    # reference: every set of cut positions of a word whose adjacent pairs
+    # rise as `rises` says, kept when each block strictly increases; a
+    # block a[lo:hi] increases when every pair inside it rises
+    n = len(rises) + 1
+    out = []
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            bounds = (0,) + cuts + (n,)
+            spans = list(zip(bounds, bounds[1:]))
+            if all(all(rises[lo:hi - 1]) for lo, hi in spans):
+                out.append(spans)
+    return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_word_matrices_matches_the_cut_filter(n):
+    for a in itertools.product(range(1, 7), repeat=n):
+        if not a:
+            assert matrices.word_matrices(a, 0) == [()]
+            assert matrices.word_matrices(a, 1) == [()]
+            continue
+        kept = _increasing_cuts(tuple(x < y for x, y in zip(a, a[1:])))
+        blocks = {span for spans in kept for span in spans}
+        for width in range(max(a), n + 2):
+            cols = range(1, width + 1)
+            row = {(lo, hi): tuple(int(j in a[lo:hi]) for j in cols)
+                   for lo, hi in blocks}
+            want = sorted(tuple(map(row.get, spans)) for spans in kept)
+            assert matrices.word_matrices(a, width) == want, (a, width)
+
+
+def test_list_matrices_act_as_tuples():
+    for a in [(1, 2, 2), (3, 1, 2), (2, 3, 1, 2), (1, 1, 4)]:
+        for m in matrices.word_matrices(a, len(a) + 1):
+            rows = [list(row) for row in m]
+            assert matrices.reading(rows) == matrices.reading(m) == a
+            assert matrices.matrix_parkize(rows) == matrices.matrix_parkize(m)
+            assert matrices.mp_coproduct(rows) == matrices.mp_coproduct(m)
+    assert matrices.matrix_parkize([[0, 0, 0]]) == ((),)
+    assert matrices.reading([]) == ()
 
 
 def test_augmented_shuffle_degree_one():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from parkhopf import algebras, gbasis, verify
+from parkhopf import algebras, gbasis, matrices, verify
 from parkhopf.linear import Lin
 
 
@@ -65,3 +65,31 @@ def test_count_checks_still_read_their_printed_tables(monkeypatch, check,
     monkeypatch.setattr(verify, table,
                         printed[:3] + (printed[3] + 1,) + printed[4:])
     assert not check(7)[0]
+
+
+def test_matrix_parkization_check_sees_each_fault(monkeypatch):
+    parkize, spread = matrices.matrix_parkize, matrices.word_matrices
+
+    def untrimmed(m):
+        # the trailing trim skipped on 2 x 3 matrices: zero columns put back
+        pm = parkize(m)
+        if len(m) == 2 and matrices.width(m) == 3:
+            return tuple(row + (0,) * (3 - len(row)) for row in pm)
+        return pm
+
+    def misread(a, width=None):
+        # the rows of the first matrix of 12 swapped: it reads 21
+        got = spread(a, width)
+        if tuple(a) == (1, 2):
+            got[0] = got[0][::-1]
+        return got
+
+    assert verify.check_matrix_parkize(4) == verify.OK
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "matrix_parkize", untrimmed)
+        assert verify.check_matrix_parkize(4) == (
+            False, "trailing trim wrong on ((1, 0, 0), (1, 0, 0))")
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "word_matrices", misread)
+        assert verify.check_matrix_parkize(4) == (
+            False, "((0, 1), (1, 0)) does not read back to (1, 2)")
