@@ -60,6 +60,8 @@ def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:
     cols = n if width is None else width
     if not a:
         return [()]
+    if min(a) < 1:
+        raise ValueError(f"letters of a word are positive, got {a}")
     if max(a) > cols:
         return []
     # the row of every block a[lo:hi] that can occur, built once

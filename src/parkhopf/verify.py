@@ -992,8 +992,9 @@ def check_matrix_parkize(d: int) -> tuple[bool, str]:
             dfct = words.defect(word)
             parked = words.parkize(word)
             trims = words.is_parking(word)
-            for w in sorted({max(word), k, k + 1}):
-                if w < max(word):
+            most = max(word)
+            for w in sorted({most, k, k + 1}):
+                if w < most:
                     continue
                 for m in matrices.word_matrices(word, width=w):
                     if matrices.reading(m) != word:

@@ -34,6 +34,8 @@ def test_word_matrices_width_bound():
     assert matrices.word_matrices((3, 1)) == []
     assert matrices.word_matrices((2, 2)) == [((0, 1), (0, 1))]
     assert matrices.word_matrices(()) == [()]
+    with pytest.raises(ValueError):
+        matrices.word_matrices((2, 0), 2)
 
 
 def test_word_matrices_roundtrip():
