@@ -17,12 +17,17 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
-from operator import itemgetter
+from operator import itemgetter, sub
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 Blocks = tuple[tuple[int, ...], ...]
+
+
+def _check_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +55,9 @@ def defect(w: Word) -> int:
     n = len(w)
     counts = [0] * (n + 1)
     for x in w:
-        if 1 <= x <= n:
+        if x < 1:
+            raise ValueError(f"letters must be positive integers, got {x}")
+        if x <= n:
             counts[x] += 1
     seen = 0
     for i in range(1, n + 1):
@@ -245,6 +252,7 @@ def descent_composition(w: Word) -> Composition:
 
 def compositions(n: int):
     """Compositions of n in lexicographic order."""
+    _check_degree(n)
     if n == 0:
         yield ()
         return
@@ -281,6 +289,7 @@ def refinements(i: Composition):
 
 def partitions(n: int, bound: int | None = None):
     """Partitions of n, parts weakly decreasing, in reverse-lexicographic order."""
+    _check_degree(n)
     if n == 0:
         yield ()
         return
@@ -422,6 +431,14 @@ def word_of_nc(blocks: Blocks) -> Word:
 # ---------------------------------------------------------------------------
 # enumeration
 
+# Letters placed from the completion table instead of by the walk.  Streamed,
+# best of five (Python 3.11.7, shared two-core host), r = 2 / 3 / 4 took:
+# pf at 7 0.119 / 0.065 / 0.096 s, connected at 7 0.138 / 0.086 / 0.160 s,
+# prime at 8 0.576 / 0.224 / 0.212 s.  A shorter tail leaves more to the walk;
+# a longer one gives rows that fewer prefixes share.
+_TAIL = 3
+
+
 def _parking_words(n: int, prime: bool = False, connected: bool = False):
     """Parking functions of length n, lexicographically; optionally prime or connected.
 
@@ -436,7 +453,20 @@ def _parking_words(n: int, prime: bool = False, connected: bool = False):
     are all <= k and after which no letter <= k has come yet: the split points
     so far.  A letter l closes every open k >= l; a word is connected when it
     ends with none open.
+
+    The walk places the first n - _TAIL letters.  The last ones come from a
+    table local to the call, keyed by the state the prefix leaves, whose entry
+    lists the suffixes in order; each is filled once, by the same walk, when a
+    prefix first reaches its state.  The key decides every step left:
+    - the deficits, clipped at 0: a threshold already met stays met, so only
+      the positive deficits prune, and they do so whatever letters made them;
+    - the first open split point: every open one is below the suffix's
+      positions, and a letter that closes the first closes the rest, so the
+      word ends connected exactly when a suffix letter is <= the first;
+    - for connected words, the top letter: a suffix position k opens a split
+      point exactly when the largest letter so far is <= k + 1.
     """
+    _check_degree(n)
     if n == 0:
         if not (prime or connected):
             yield ()
@@ -445,9 +475,14 @@ def _parking_words(n: int, prime: bool = False, connected: bool = False):
     counts = [0] * (n + 1)  # counts[v] = letters equal to v placed so far
     word = [0] * n
     opened: list[int] = []
+    head = max(n - _TAIL, 0)
 
-    def rec(k: int, top: int):
-        # k letters placed so far, the largest of them `top`
+    def walk(k: int, top: int, stop: int):
+        # k letters placed so far, the largest of them `top`; yields once per
+        # prefix of length `stop` < n, or once per word when `stop` is n
+        if k == stop:
+            yield top
+            return
         slack = n - k - 1
         worst = seen = 0  # largest deficit below `letter`; letters < `letter`
         for letter in range(1, n + 1):
@@ -455,7 +490,7 @@ def _parking_words(n: int, prime: bool = False, connected: bool = False):
             if not slack:
                 if opened and letter > opened[0]:
                     return
-                yield tuple(word)
+                yield top
             else:
                 counts[letter] += 1
                 if connected:
@@ -465,10 +500,10 @@ def _parking_words(n: int, prime: bool = False, connected: bool = False):
                     closed = opened[cut:]
                     high = max(top, letter)
                     opened[cut:] = [k + 1] if high <= k + 1 else []
-                    yield from rec(k + 1, high)
+                    yield from walk(k + 1, high, stop)
                     opened[cut:] = closed
                 else:
-                    yield from rec(k + 1, top)
+                    yield from walk(k + 1, top, stop)
                 counts[letter] -= 1
             # the next letter leaves threshold `letter` below it
             seen += counts[letter]
@@ -477,7 +512,18 @@ def _parking_words(n: int, prime: bool = False, connected: bool = False):
                 if worst > slack:
                     return
 
-    yield from rec(0, 0)
+    tails: dict[tuple, list[Word]] = {}
+    suffixes: dict[Word, Word] = {}  # one tuple per distinct suffix, shared
+    zeros = itertools.repeat(0)
+    for top in walk(0, 0, head):
+        deficits = map(sub, need, itertools.accumulate(counts))
+        key = (tuple(map(max, deficits, zeros)), opened[0] if opened else 0,
+               top if connected else 0)
+        entry = tails.get(key)
+        if entry is None:
+            fill = (tuple(word[head:]) for _ in walk(head, top, n))
+            entry = tails[key] = [suffixes.setdefault(s, s) for s in fill]
+        yield from map(tuple(word[:head]).__add__, entry)
 
 
 def parking_functions(n: int):
@@ -491,6 +537,8 @@ def prime_parking_functions(n: int):
 
 
 def nondecreasing_parking_functions(n: int):
+    """Nondecreasing parking functions of length n, lexicographically."""
+    _check_degree(n)
     if n == 0:
         yield ()
         return
@@ -523,21 +571,25 @@ def parking_list(n: int) -> tuple[Word, ...]:
 # counting
 
 def pf_count(n: int) -> int:
+    _check_degree(n)
     return 1 if n == 0 else (n + 1) ** (n - 1)
 
 
 def ppf_count(n: int) -> int:
+    _check_degree(n)
     if n == 0:
         return 0
     return (n - 1) ** (n - 1)  # 0**0 == 1 covers n == 1
 
 
 def catalan(n: int) -> int:
+    _check_degree(n)
     return comb(2 * n, n) // (n + 1)
 
 
 def schroder_count(n: int) -> int:
     """Little Schroder numbers 1, 1, 3, 11, 45, 197, 903, ..."""
+    _check_degree(n)
     if n == 0:
         return 1
     total = sum(comb(n + 1, k) * comb(2 * n - k, n - k) for k in range(n + 1))
@@ -552,6 +604,7 @@ def connected_counts(top: int) -> list[int]:
     The counting series c(t) satisfies P(t) = 1 + c(t) P(t) where P is the
     parking-function series, giving an integer convolution recurrence.
     """
+    _check_degree(top)
     p = [pf_count(n) for n in range(top + 1)]
     c = [0] * (top + 1)
     for n in range(1, top + 1):
@@ -560,7 +613,7 @@ def connected_counts(top: int) -> list[int]:
 
 
 def connected_count(n: int) -> int:
-    return connected_counts(n)[-1] if n >= 1 else 0
+    return connected_counts(n)[-1] if n else 0
 
 
 # kind -> (generator, count) of each class the command line enumerates

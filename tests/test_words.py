@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -31,12 +32,48 @@ BRUTE_FILTERS = {
 
 
 @pytest.mark.parametrize("kind", words.ENUM_KINDS)
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_enumerate_class_matches_brute_force(kind, n):
     # product() runs lexicographically, so the filter is the reference order too
     want = [w for w in itertools.product(range(1, n + 1), repeat=n)
             if BRUTE_FILTERS[kind](w)]
     assert list(words.enumerate_class(kind, n)) == want
+
+
+def test_prime_parking_functions_of_length_8():
+    first = last = None
+    count = 0
+    for w in words.prime_parking_functions(8):
+        assert last is None or last < w, w
+        first = first or w
+        last = w
+        count += 1
+    assert count == words.ppf_count(8) == 823_543
+    assert first == (1,) * 8
+    assert last == (7, 6, 5, 4, 3, 2, 1, 1)
+
+
+@pytest.mark.parametrize("enumerate_words", [words.parking_functions,
+                                             words.connected_parking_functions])
+def test_enumeration_is_lazy(enumerate_words):
+    # degree 12 has over 10**11 words: a lazy walk yields the first ones
+    # after filling one row of its table, under 12**3 suffixes
+    tracemalloc.start()
+    try:
+        head = list(itertools.islice(enumerate_words(12), 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert head == [(1,) * 11 + (x,) for x in range(1, 6)]
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("kind", words.ENUM_KINDS)
+def test_negative_degree_is_refused(kind):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        next(words.enumerate_class(kind, -1))
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        words.class_count(kind, -1)
 
 
 def test_enumerate_class_degree_zero():
@@ -65,6 +102,12 @@ def test_parkize_example():
 def test_parkize_rejects_nonpositive_letters(w):
     with pytest.raises(ValueError, match="letters must be positive integers"):
         words.parkize(w)
+
+
+@pytest.mark.parametrize("w", [(0,), (0, 1), (3, -1, 2)])
+def test_defect_rejects_nonpositive_letters(w):
+    with pytest.raises(ValueError, match="letters must be positive integers"):
+        words.defect(w)
 
 
 def _parkize_by_decrement(w):
