@@ -3,7 +3,7 @@
 Submodules:
   words     parking-function combinatorics (parkization, primes, orders)
   linear    free modules over Q with exact rational coefficients
-  series    formal power series helpers (powers, reversion)
+  series    the free moment-cumulant recurrence over any ring
   fbasis    the fundamental basis of the parking Hopf algebra
   gbasis    the dual algebra (convolution product, breakpoint coproduct)
   catalan   nondecreasing subalgebra and its graded dual, ribbons, g-series

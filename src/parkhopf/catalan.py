@@ -11,7 +11,8 @@ from functools import lru_cache
 from itertools import product
 
 from .gbasis import convolution, g_coproduct, parkization_fiber
-from .linear import Lin, _build, extend_bilinear, lin_sum
+from .linear import Lin, _build, extend_bilinear
+from .series import free_moments
 from .symfun import ns_product
 from .words import (
     Composition,
@@ -179,26 +180,15 @@ ribbon_mul = extend_bilinear(ribbon_product_via_p)
 # noncommutative characteristics
 
 def g_series(order: int) -> list[Lin]:
-    """Deg(0..order) coefficients of the fixed point g = sum_n S_n g^n.
+    """Deg(0..order) coefficients of the fixed point g = 1 + sum_n S_n g^n.
 
     Each coefficient is an integer combination of complete-generator
-    words S^I with sum(I) = degree.
-
-    pw[s][j], the degree-j part of g^s, grows by one entry per degree as
-    in `symfun._lower_terms`; then g_m = sum_s S_s pw[s][m - s].
+    words S^I with sum(I) = degree: g_n is the n-th free moment of the
+    noncommutative cumulants S_1, S_2, ... (`series.free_moments`).
     """
-    g: list[Lin] = [Lin.basis(())]
-    pw: list[list[Lin]] = [[g[0]]]
-    for m in range(1, order + 1):
-        pw[0].append(Lin())
-        for s in range(1, m):
-            j, prev = m - s, pw[s - 1]
-            pw[s].append(lin_sum(ns_product(g[i], prev[j - i])
-                                 for i in range(j + 1)))
-        pw.append([g[0]])
-        g.append(lin_sum(ns_product(Lin.basis((s,)), pw[s][m - s])
-                         for s in range(1, m + 1)))
-    return g
+    one = Lin.basis(())
+    return [one] + free_moments([Lin.basis((s,)) for s in range(1, order + 1)],
+                                Lin(), one, ns_product)
 
 
 def g_weighted_coefficient_sum(n: int):

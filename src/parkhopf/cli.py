@@ -23,6 +23,9 @@ ENUM_BOUND = 8
 SERIES_BOUND = 12
 DEGREE_BOUND = 5
 CUMULANT_BOUND = 20
+# `cumulants --check` sums over Catalan(n) noncrossing partitions for each
+# degree n up to the length: 0.55 s at length 10, about x3.7 per term more
+CHECK_BOUND = 10
 ENUM_BLOCK = 4096  # words per write of the enum stream
 
 
@@ -215,9 +218,13 @@ def cmd_series(args) -> int:
 
 
 def _parse_rationals(text: str) -> list[Fraction]:
+    """Integers, fractions and decimals; exponent notation is refused, as
+    `Fraction` would build 10^k for any k it is given."""
     toks = [t.strip() for t in text.split(",")]
     if not text.strip() or any(not t for t in toks):
         raise ValueError(f"malformed rational list: {text!r}")
+    if any("e" in t.lower() for t in toks):
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     try:
         return [Fraction(t) for t in toks]
     except (ValueError, ZeroDivisionError) as exc:
@@ -233,6 +240,8 @@ def cmd_cumulants(args) -> int:
     bound = _bound(CUMULANT_BOUND)
     if len(seq) > bound:
         return _die(2, f"sequence bound exceeded: {len(seq)} > {bound}")
+    if args.check and len(seq) > (bound := _bound(CHECK_BOUND)):
+        return _die(2, f"check bound exceeded: {len(seq)} > {bound}")
     _check_out(args)
     if args.moments is not None:
         out = symfun.moments_to_cumulants(seq)
@@ -246,10 +255,14 @@ def cmd_cumulants(args) -> int:
         for n in range(1, len(seq) + 1):
             if symfun.nc_moment(cumulants, n) != moments[n - 1]:
                 return _die(1, f"partition oracle mismatch at degree {n}")
-    _emit(args, ",".join(format_coeff(c) for c in out),
-          {"direction": direction,
-           "input": [format_coeff(c) for c in seq],
-           "output": [format_coeff(c) for c in out]})
+    try:
+        given = [format_coeff(c) for c in seq]
+        rendered = [format_coeff(c) for c in out]
+    except ValueError:  # the interpreter's int-to-str digit limit
+        return _die(2, "output bound exceeded: a term has more than "
+                       f"{sys.get_int_max_str_digits()} digits")
+    _emit(args, ",".join(rendered),
+          {"direction": direction, "input": given, "output": rendered})
     return 0
 
 

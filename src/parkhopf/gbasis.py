@@ -9,12 +9,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, chain, combinations_with_replacement
 from math import comb
-from operator import ge, mul
+from operator import ge
 
 from .fbasis import _f_in_mult_basis, f_coproduct
 from .linear import (Lin, _build, extend_bilinear, extend_linear,
                      invert_unitriangular)
-from .series import SeriesOps
 from .words import (
     Word,
     breakpoints,
@@ -196,13 +195,12 @@ def lie_generator_series(order: int) -> list[int]:
     counts a free generating set degree by degree.
     """
     c = connected_counts(order)
-    ops = SeriesOps(order, 0, 1, mul)
-    prod = [1]
+    prod = [1] + [0] * order
     for n in range(1, order + 1):
-        factor = [0] * (order + 1)
-        for k in range(order // n + 1):
-            factor[n * k] = (-1) ** k * comb(c[n - 1], k)
-        prod = ops.mul(prod, factor)
+        # times (1 - t^n)^{c_n} = sum_k (-1)^k C(c_n, k) t^(nk), truncated
+        prod = [sum((-1) ** k * comb(c[n - 1], k) * prod[m - n * k]
+                    for k in range(m // n + 1))
+                for m in range(order + 1)]
     return [-prod[k] for k in range(1, order + 1)]
 
 

@@ -1,11 +1,17 @@
-"""Truncated formal power series over an arbitrary exact coefficient ring.
+"""The free moment-cumulant recurrence, over any ring with exact equality.
 
-A series is a plain list [c_0, c_1, ..., c_order].  The coefficient ring is
-supplied as (zero, one, mul); coefficients must support + and -.  Over
-Lin coefficients this drives the star involution (series reversion) and
-its Lagrange oracle (powers); Fraction coefficients work the same way.
+The R-transform relation M(z) = 1 + sum_s r_s z^s M(z)^s (Nica-Speicher,
+Lectures on the Combinatorics of Free Probability, Lecture 10) reads
+m_k = sum_{s<=k} r_s [z^(k-s)] M(z)^s.  The s = k term is r_k itself and
+the others need only m_(<k) and r_(<k): one triangular recurrence, solved
+for m_k by `free_moments` or for r_k by `free_cumulants`.
 
-All operations truncate at the ring's fixed order; nothing here is lazy.
+The ring is given as its zero, its unit and its product; its elements add
+with + and subtract with -.  Over Lin each + copies the running sum, which
+costs a few per cent of `catalan.g_series(12)` against `lin_sum`, so the
+recurrence sums with `sum` in every ring.  The product may be
+noncommutative: r_s multiplies on the left, so over NSym the moments of
+the cumulants S_s are the coefficients of g = 1 + sum_s S_s g^s.
 """
 
 from __future__ import annotations
@@ -13,52 +19,37 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 
-class SeriesOps:
-    def __init__(self, order: int, zero, one, mul: Callable):
-        self.order = order
-        self.zero = zero
-        self.one = one
-        self.cmul = mul
+def _lower_terms(pw: list[list], ms: list, rs: list, zero, one,
+                 mul: Callable):
+    """The part sum_{s<k} r_s [z^(k-s)] M(z)^s of m_k, for k = len(pw).
 
-    def pad(self, f: Sequence) -> list:
-        out = list(f[: self.order + 1])
-        out.extend(self.zero for _ in range(self.order + 1 - len(out)))
-        return out
+    pw[s][j] = [z^j] M(z)^s holds rows s < k with s + j < k on entry; each
+    row grows by its entry j = k - s, from M times row s - 1, and row k
+    starts as [one].  Reads m_0 = one, ..., m_(k-1) from ms and r_s from
+    rs[s - 1] for s < k; later entries of either are not read.
+    """
+    k = len(pw)
+    pw[0].append(zero)
+    for s in range(1, k):
+        j, prev = k - s, pw[s - 1]
+        pw[s].append(sum(map(mul, ms[:j + 1], prev[j::-1]), zero))
+    pw.append([one])
+    return sum(map(mul, rs, [pw[s][k - s] for s in range(1, k)]), zero)
 
-    def mul(self, f, g) -> list:
-        f, g = self.pad(f), self.pad(g)
-        out = [self.zero for _ in range(self.order + 1)]
-        for i, a in enumerate(f):
-            if a == self.zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = g[j]
-                if b != self.zero:
-                    out[i + j] = out[i + j] + self.cmul(a, b)
-        return out
 
-    def pow(self, f, k: int) -> list:
-        out = self.pad([self.one])
-        for _ in range(k):
-            out = self.mul(out, f)
-        return out
+def free_moments(cumulants: Sequence, zero, one, mul: Callable) -> list:
+    """Moments m_1..m_n of the free cumulants r_1..r_n: m_k is r_k plus
+    its lower terms."""
+    pw, ms = [[one]], [one]
+    for r in cumulants:
+        ms.append(r + _lower_terms(pw, ms, cumulants, zero, one, mul))
+    return ms[1:]
 
-    def reversion(self, f) -> list:
-        """Compositional inverse of f = t + c_2 t^2 + ...; same shape back.
 
-        Coefficient recursion: g_k = -sum_{m=2..k} f_m (g^m)_k, which only
-        touches already-known coefficients since g has no constant term.
-        """
-        f = self.pad(f)
-        if f[0] != self.zero or f[1] != self.one:
-            raise ValueError("reversion needs f = t + higher-order terms")
-        g = [self.zero, self.one] + [self.zero] * (self.order - 1)
-        for k in range(2, self.order + 1):
-            power = g  # g^m computed incrementally from m=1
-            acc = self.zero
-            for m in range(2, k + 1):
-                power = self.mul(power, g)
-                if f[m] != self.zero:
-                    acc = acc + self.cmul(f[m], power[k])
-            g[k] = self.zero - acc
-        return g
+def free_cumulants(moments: Sequence, zero, one, mul: Callable) -> list:
+    """Free cumulants r_1..r_n of the moments m_1..m_n: r_k is m_k less
+    its lower terms."""
+    pw, ms, rs = [[one]], [one, *moments], []
+    for m in moments:
+        rs.append(m - _lower_terms(pw, ms, rs, zero, one, mul))
+    return rs

@@ -5,11 +5,12 @@ A Sym is its h-expansion over partition labels.  The e family enters by
 the alternating convolution recurrence e_n = sum (-1)^(k-1) h_k e_(n-k);
 the monomial expansion, needed by the Hall pairing and the map to QSym,
 leaves by counting nonnegative-integer matrices with prescribed margins.
-On top of that sit the star involution (Lagrange inversion of the
-complete-series datum), the characters of the symmetric group acting on
-(prime) parking functions, free moment/cumulant conversions (one
-triangular recurrence from the R-transform), the Hall pairing, and
-inclusion-exclusion ribbons.
+On top of that sit the star involution, the characters of the symmetric
+group acting on (prime) parking functions, free moment/cumulant
+conversions, the Hall pairing, and inclusion-exclusion ribbons.  The star
+involution and the conversions are the one free moment-cumulant
+recurrence of `series`: over Sym, h_n* is the n-th free moment of the
+cumulants (-1)^s e_s; over the rationals, it converts either way.
 
 QSym lives on composition labels (M quasi-shuffle, F by refinement sums,
 deconcatenation coproduct); NSym on composition labels (S concatenation,
@@ -22,10 +23,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial
+from operator import mul
 
 from .linear import (Lin, _build, _coerce, dual_pairing, extend_bilinear,
                      lin_sum, tensor_map)
-from .series import SeriesOps
+from .series import free_cumulants, free_moments
 from .words import (
     Composition,
     Partition,
@@ -165,34 +167,25 @@ def omega(x: Sym) -> Sym:
 # ---------------------------------------------------------------------------
 # the star involution
 
-def _h_series_ops(order: int) -> SeriesOps:
-    return SeriesOps(order, Lin(), Lin.basis(()), _h_mul)
-
-
 @lru_cache(maxsize=None)
-def _h_star_table(order: int) -> list[Lin]:
-    """Coefficients of the compositional inverse of t*(sum_k h_k t^k)."""
-    ops = _h_series_ops(order)
-    th = [Lin(), Lin.basis(())] + [Lin.basis((k,)) for k in range(1, order)]
-    return ops.reversion(th)
-
-
 def h_star(n: int) -> Sym:
-    """Image of h_n under the star involution, by exact series reversion."""
+    """Image of h_n under the star involution.  H*(t) = E(-t H*(t)), so
+    h_n* is the n-th free moment of the cumulants r_s = (-1)^s e_s."""
     if n == 0:
         return Sym.one()
-    return Sym(_h_star_table(n + 1)[n + 1])
+    rs = [_e_in_h(s).scale((-1) ** s) for s in range(1, n + 1)]
+    return Sym(free_moments(rs, Lin(), Lin.basis(()), _h_mul)[-1])
 
 
 def h_star_closed(n: int) -> Sym:
     """Independent route: h_n* = [t^n] E(-t)^(n+1) / (n+1)."""
     if n == 0:
         return Sym.one()
-    ops = _h_series_ops(n)
-    em = [Lin.basis(())] + [
-        _e_in_h(k).scale(1 if k % 2 == 0 else -1) for k in range(1, n + 1)
-    ]
-    powed = ops.pow(em, n + 1)
+    em = [Lin.basis(())] + [_e_in_h(k).scale((-1) ** k) for k in range(1, n + 1)]
+    powed = em  # raised to E(-t)^(n+1), truncated at t^n
+    for _ in range(n):
+        powed = [lin_sum(_h_mul(powed[i], em[k - i]) for i in range(k + 1))
+                 for k in range(n + 1)]
     return Sym(powed[n].scale(Fraction(1, n + 1)))
 
 
@@ -299,54 +292,21 @@ def hall_pairing(x: Sym, y: Sym) -> int | Fraction:
 
 
 # ---------------------------------------------------------------------------
-# moments and free cumulants
-#
-# The R-transform relation M(z) = 1 + sum_s r_s z^s M(z)^s (Nica-Speicher,
-# Lectures on the Combinatorics of Free Probability, Lecture 10) reads
-# m_k = sum_{s<=k} r_s [z^(k-s)] M(z)^s.  The s = k term is r_k itself and
-# the others need only m_(<k) and r_(<k): one triangular recurrence, solved
-# for r_k or for m_k.
+# moments and free cumulants, by the recurrence of `series`
 
 def _to_fracs(seq) -> list[Fraction]:
     """Exact terms: a float raises the TypeError a Lin coefficient would."""
     return [Fraction(_coerce(x)) for x in seq]
 
 
-def _lower_terms(pw: list[list], ms: list[Fraction], rs: list[Fraction]) -> Fraction:
-    """The part sum_{s<k} r_s [z^(k-s)] M(z)^s of m_k, for k = len(pw).
-
-    pw[s][j] = [z^j] M(z)^s holds rows s < k with s + j < k on entry; each
-    row grows by its entry j = k - s, from row s - 1 times M, and row k
-    starts as [1].  Reads m_0 = 1, ..., m_(k-1) from ms and r_s from
-    rs[s - 1] for s < k.
-    """
-    k = len(pw)
-    pw[0].append(0)
-    for s in range(1, k):
-        j, prev = k - s, pw[s - 1]
-        pw[s].append(sum(ms[i] * prev[j - i] for i in range(j + 1)))
-    pw.append([1])
-    return sum(rs[s - 1] * pw[s][k - s] for s in range(1, k))
-
-
 def moments_to_cumulants(moments) -> list[Fraction]:
-    """Free cumulants r_1..r_n of the moments m_1..m_n: r_k is m_k less
-    its lower terms."""
-    ms = [Fraction(1)] + _to_fracs(moments)
-    pw, rs = [[1]], []
-    for m in ms[1:]:
-        rs.append(m - _lower_terms(pw, ms, rs))
-    return rs
+    """Free cumulants r_1..r_n of the moments m_1..m_n."""
+    return free_cumulants(_to_fracs(moments), 0, 1, mul)
 
 
 def cumulants_to_moments(cumulants) -> list[Fraction]:
-    """Moments m_1..m_n of the free cumulants r_1..r_n: m_k is r_k plus
-    its lower terms."""
-    rs = _to_fracs(cumulants)
-    pw, ms = [[1]], [Fraction(1)]
-    for r in rs:
-        ms.append(r + _lower_terms(pw, ms, rs))
-    return ms[1:]
+    """Moments m_1..m_n of the free cumulants r_1..r_n."""
+    return free_moments(_to_fracs(cumulants), 0, 1, mul)
 
 
 def cumulants_via_star(moments) -> list[Fraction]:

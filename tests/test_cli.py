@@ -337,6 +337,58 @@ def test_cumulants_malformed(capsys):
     assert code == 3
 
 
+def test_cumulants_check_is_bounded_before_any_work(capsys, monkeypatch):
+    from parkhopf import symfun
+
+    def work(*_args):
+        raise AssertionError("the work ran above the check bound")
+
+    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
+    monkeypatch.setattr(symfun, "nc_moment", work)
+    monkeypatch.setattr(symfun, "moments_to_cumulants", work)
+    n = cli.CHECK_BOUND + 1
+    code, out, err = run(capsys, "cumulants", "--moments", ",".join(["1"] * n),
+                         "--check")
+    assert code == 2 and out == ""
+    assert err == f"parkhopf: check bound exceeded: {n} > {cli.CHECK_BOUND}\n"
+
+
+def test_cumulants_check_bound_is_raised_by_the_override(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CHECK_BOUND", 3)
+    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
+    code, out, err = run(capsys, "cumulants", "--cumulants", "1,1,1,1", "--check")
+    assert code == 2 and out == "" and "4 > 3" in err
+    code, out, _ = run(capsys, "cumulants", "--cumulants", "1,1,1,1")
+    assert code == 0 and out.strip() == "1,2,5,14"
+    monkeypatch.setenv("PARKHOPF_MAX_N", "4")
+    code, out, _ = run(capsys, "cumulants", "--cumulants", "1,1,1,1", "--check")
+    assert code == 0 and out.strip() == "1,2,5,14"
+
+
+@pytest.mark.parametrize("text", ["1e-5000", "1e100000000", "1,2E3", "1/2,3e0"])
+def test_cumulants_refuse_exponent_notation(text):
+    # 1e100000000 would build a 10^8-digit integer before any bound
+    proc = _run_cli("cumulants", "--moments", text, timeout=10)
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"parkhopf: exponent notation is not accepted: {text!r}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cumulants_too_long_to_render(capsys, fmt):
+    # r_2 = 1 - 10^4398 has 4 399 digits, over the default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "cumulants", "--moments",
+                             "1" + "0" * 2199 + ",1", "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == ("parkhopf: output bound exceeded: "
+                   "a term has more than 4300 digits\n")
+
+
 def test_verify_passing_suites(capsys):
     for suite in ("paper-examples", "hopf", "counts"):
         code, out, _ = run(capsys, "verify", "--suite", suite,
