@@ -75,10 +75,6 @@ ANTIPODE = {
 }
 
 
-def _parking_labels(n: int) -> list:
-    return list(words.parking_list(n))
-
-
 def _catalan_labels(n: int) -> list:
     return list(words.nondecreasing_parking_functions(n))
 
@@ -89,8 +85,8 @@ def _class_labels(n: int) -> list:
 
 # basis -> the sorted labels of degree n; degree 0 gives the unit label
 LABELS = {
-    "F": _parking_labels,
-    "G": _parking_labels,
+    "F": words.parking_list,
+    "G": words.parking_list,
     "P": _catalan_labels,
     "M": _catalan_labels,
     "R": _catalan_labels,

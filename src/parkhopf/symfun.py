@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .linear import (Lin, _build, _coerce, dual_pairing, extend_bilinear,
@@ -36,7 +36,6 @@ from .words import (
     distinct_permutations,
     evaluation,
     multinomial,
-    nc_of_parking,
     nondecreasing_parking_functions,
     partition_of,
     partitions,
@@ -205,8 +204,6 @@ def prime_characteristic(n: int) -> Sym:
     """Frobenius characteristic of the action on prime parking functions."""
     if n < 1:
         raise ValueError("defined for n >= 1")
-    if n == 1:
-        return Sym.h((1,))
     return omega(-e_star(n))
 
 
@@ -216,18 +213,20 @@ def prime_characteristic_closed(n: int) -> Sym:
         raise ValueError("defined for n >= 1")
     if n == 1:
         return Sym.h((1,))
-    return Sym(_build((lam, _prime_orbits(lam)) for lam in partitions(n)))
+    return Sym(_build((lam, kreweras_count(lam, n - 2)) for lam in partitions(n)))
 
 
-def _prime_orbits(lam: Partition) -> Fraction:
-    """C(n-1, l) * l! / prod m_i! / (n-1) for lam of size n >= 2, length l
-    and part multiplicities m_i: the h_lam coefficient of the prime
-    characteristic, one per orbit of prime parking functions."""
-    n, ln = sum(lam), len(lam)
-    orbit_mult = factorial(ln)
+def kreweras_count(lam: Partition, size: int) -> int:
+    """size! / ((size - l + 1)! prod m_i!) for lam with l parts, m_i of them
+    equal to i; 0 when l > size + 1.  At size = |lam| it counts the
+    nondecreasing parking functions of evaluation type lam (see `nc_moment`),
+    at size = |lam| - 2 the prime ones: the h_lam coefficient of f_|lam|."""
+    if len(lam) > size + 1:
+        return 0
+    out = factorial(size) // factorial(size - len(lam) + 1)
     for m in Counter(lam).values():
-        orbit_mult //= factorial(m)
-    return Fraction(comb(n - 1, ln) * orbit_mult, n - 1)
+        out //= factorial(m)
+    return out
 
 
 def type_characteristic(i: Composition) -> Sym:
@@ -262,8 +261,8 @@ def _evaluation_partition(a) -> Partition:
 def prime_eval_count(lam) -> int:
     """Number of prime parking functions whose sorted evaluation equals lam.
 
-    Closed form: the orbit count of ``_prime_orbits`` times the number of
-    rearrangements of any word with that evaluation.
+    Closed form: the orbit count ``kreweras_count(lam, n - 2)`` times the
+    number of rearrangements of any word with that evaluation.
     """
     lam = partition_of(lam)
     n = sum(lam)
@@ -271,9 +270,7 @@ def prime_eval_count(lam) -> int:
         raise ValueError("empty partition")
     if n == 1:
         return 1
-    total = _prime_orbits(lam) * multinomial(n, lam)
-    assert total.denominator == 1
-    return int(total)
+    return kreweras_count(lam, n - 2) * multinomial(n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +325,18 @@ def cumulants_via_star(moments) -> list[Fraction]:
 
 
 def nc_moment(cumulants, n: int) -> Fraction:
-    """Moment oracle: sum over non-crossing partitions of products of cumulants."""
+    """Moment oracle: m_n = sum over lam |- n of the product of the r_(lam_i)
+    times kreweras_count(lam, n) = n! / ((n - l + 1)! prod m_i!), for lam
+    with l parts, m_i of them equal to i: the number of noncrossing
+    partitions of [n] of block type lam (Kreweras, "Sur les partitions non
+    croisées d'un cycle", 1972; Nica–Speicher, Lectures on the Combinatorics
+    of Free Probability, Lecture 9)."""
     rs = _to_fracs(cumulants)
-    if n == 0:
-        return Fraction(1)
     total = Fraction(0)
-    for pi in nondecreasing_parking_functions(n):
-        term = Fraction(1)
-        for block in nc_of_parking(pi):
-            term *= rs[len(block) - 1]
+    for lam in partitions(n):
+        term = Fraction(kreweras_count(lam, n))
+        for p in lam:
+            term *= rs[p - 1]
         total += term
     return total
 

@@ -10,6 +10,7 @@ run at a fixed d + k, and the worked examples at their own degree.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -538,12 +539,17 @@ def check_parkize_fixed_points(d: int) -> tuple[bool, str]:
 
 def check_nc_roundtrip(d: int) -> tuple[bool, str]:
     for n in range(1, d + 3):
+        types = Counter()
         for pi in LABELS["P"](n):
             blocks = words.nc_of_parking(pi)
             if not words.is_noncrossing(blocks):
                 return _fail(f"blocks of {pi} cross")
             if words.word_of_nc(blocks) != pi:
                 return _fail(f"block round trip fails at {pi}")
+            types[words.partition_of(map(len, blocks))] += 1
+        for lam in words.partitions(n):
+            if types[lam] != symfun.kreweras_count(lam, n):
+                return _fail(f"block type count wrong at {lam}")
     return OK
 
 
@@ -694,9 +700,7 @@ def check_star_involution(d: int) -> tuple[bool, str]:
             return _fail(f"star routes differ at n={n}")
         if symfun.star(symfun.h_star(n)) != symfun.Sym.h((n,)):
             return _fail(f"star not involutive at n={n}")
-        want = -symfun.omega(symfun.prime_characteristic(n)) \
-            if n > 1 else -symfun.Sym.h((1,))
-        if symfun.e_star(n) != want:
+        if symfun.e_star(n) != -symfun.omega(symfun.prime_characteristic(n)):
             return _fail(f"elementary star routes differ at n={n}")
     rng = random.Random(99)
     for _ in range(10):

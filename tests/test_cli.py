@@ -337,32 +337,54 @@ def test_cumulants_malformed(capsys):
     assert code == 3
 
 
-def test_cumulants_check_is_bounded_before_any_work(capsys, monkeypatch):
+def _length_20_sequence() -> str:
+    """(k^2 - 7)/k for k = 1..20; it starts with a minus sign."""
+    return ",".join(f"{k * k - 7}/{k}" for k in range(1, 21))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("direction", ["--moments", "--cumulants"])
+def test_cumulants_check_at_the_length_bound(capsys, direction, fmt):
+    seq = _length_20_sequence()
+    code, plain, _ = run(capsys, "cumulants", f"{direction}={seq}",
+                         "--format", fmt)
+    assert code == 0
+    code, checked, err = run(capsys, "cumulants", f"{direction}={seq}",
+                             "--format", fmt, "--check")
+    assert code == 0 and err == "" and checked == plain
+
+
+def test_cumulants_check_keeps_the_length_bound(capsys, monkeypatch):
     from parkhopf import symfun
 
     def work(*_args):
-        raise AssertionError("the work ran above the check bound")
+        raise AssertionError("the work ran above the length bound")
 
     monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
     monkeypatch.setattr(symfun, "nc_moment", work)
     monkeypatch.setattr(symfun, "moments_to_cumulants", work)
-    n = cli.CHECK_BOUND + 1
-    code, out, err = run(capsys, "cumulants", "--moments", ",".join(["1"] * n),
-                         "--check")
+    code, out, err = run(capsys, "cumulants",
+                         f"--moments={_length_20_sequence()},1", "--check")
     assert code == 2 and out == ""
-    assert err == f"parkhopf: check bound exceeded: {n} > {cli.CHECK_BOUND}\n"
+    assert err == "parkhopf: sequence bound exceeded: 21 > 20\n"
 
 
-def test_cumulants_check_bound_is_raised_by_the_override(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "CHECK_BOUND", 3)
-    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
-    code, out, err = run(capsys, "cumulants", "--cumulants", "1,1,1,1", "--check")
-    assert code == 2 and out == "" and "4 > 3" in err
-    code, out, _ = run(capsys, "cumulants", "--cumulants", "1,1,1,1")
-    assert code == 0 and out.strip() == "1,2,5,14"
-    monkeypatch.setenv("PARKHOPF_MAX_N", "4")
-    code, out, _ = run(capsys, "cumulants", "--cumulants", "1,1,1,1", "--check")
-    assert code == 0 and out.strip() == "1,2,5,14"
+def test_cumulants_check_length_bound_is_raised_by_the_override(
+        capsys, monkeypatch):
+    seq = f"--moments={_length_20_sequence()},1"
+    monkeypatch.setenv("PARKHOPF_MAX_N", "21")
+    code, checked, _ = run(capsys, "cumulants", seq, "--check")
+    assert code == 0 and len(checked.split(",")) == 21
+    code, plain, _ = run(capsys, "cumulants", seq)
+    assert code == 0 and checked == plain
+
+
+@pytest.mark.parametrize("direction, want", [("moments", "-1,1"),
+                                             ("cumulants", "-1,3")])
+def test_cumulants_list_with_a_leading_minus_sign(capsys, direction, want):
+    # argparse takes a separate "-1,2" for an option; the "=" form converts
+    code, out, err = run(capsys, "cumulants", f"--{direction}=-1,2", "--check")
+    assert code == 0 and err == "" and out.strip() == want
 
 
 @pytest.mark.parametrize("text", ["1e-5000", "1e100000000", "1,2E3", "1/2,3e0"])

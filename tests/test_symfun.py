@@ -39,8 +39,7 @@ def test_star_small_values():
 def test_star_routes_and_involution(n):
     assert symfun.h_star(n) == symfun.h_star_closed(n)
     assert symfun.star(symfun.h_star(n)) == symfun.Sym.h((n,))
-    if n > 1:
-        assert symfun.e_star(n) == -symfun.omega(symfun.prime_characteristic(n))
+    assert symfun.e_star(n) == -symfun.omega(symfun.prime_characteristic(n))
 
 
 def test_characteristics():
@@ -58,6 +57,27 @@ def test_characteristics():
 
 def test_prime_eval_count_brute_force():
     assert verify.check_prime_eval_counts(6)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kreweras_count_matches_the_noncrossing_block_types(n):
+    types = {}
+    for pi in words.nondecreasing_parking_functions(n):
+        lam = words.partition_of(map(len, words.nc_of_parking(pi)))
+        types[lam] = types.get(lam, 0) + 1
+    for lam in words.partitions(n):
+        assert symfun.kreweras_count(lam, n) == types.get(lam, 0)
+
+
+def test_a_wrong_kreweras_count_is_caught_by_the_checks(monkeypatch):
+    count = symfun.kreweras_count
+    # one too many at the single block type (2, 1) of degree 3
+    monkeypatch.setattr(symfun, "kreweras_count",
+                        lambda lam, size: count(lam, size) + (lam == (2, 1)))
+    assert verify.check_nc_roundtrip(2) == (
+        False, "block type count wrong at (2, 1)")
+    assert verify.check_cumulant_oracle(2) == (
+        False, "series route differs from oracle at degree 3")
 
 
 def test_hall_pairing_orthonormal():
