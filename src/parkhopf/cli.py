@@ -293,12 +293,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 3, not argparse's 2.  The
+    subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", metavar="FILE.json", default=None)
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="parkhopf",
         description="Exact computations in the parking-function Hopf algebras.")
     sub = top.add_subparsers(dest="command", required=True)

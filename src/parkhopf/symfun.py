@@ -32,7 +32,6 @@ from .words import (
     Composition,
     Partition,
     coarsenings,
-    compositions,
     distinct_permutations,
     evaluation,
     multinomial,
@@ -246,7 +245,9 @@ def type_characteristic_by_words(i: Composition) -> Sym:
 
 
 def parking_characteristic(n: int) -> Sym:
-    return Sym(lin_sum(type_characteristic(i).vec for i in compositions(n)))
+    """Character of the action on parking functions: h_lam once per orbit,
+    that is per nondecreasing parking function of evaluation type lam."""
+    return Sym(_build((lam, kreweras_count(lam, n)) for lam in partitions(n)))
 
 
 def parking_characteristic_by_words(n: int) -> Sym:

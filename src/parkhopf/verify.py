@@ -9,8 +9,10 @@ run at a fixed d + k, and the worked examples at their own degree.
 """
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -18,7 +20,7 @@ from itertools import chain, combinations, permutations, product
 from math import prod
 from operator import add
 
-from . import catalan, fbasis, gbasis, matrices, schroder, symfun, words
+from . import catalan, cli, fbasis, gbasis, matrices, schroder, symfun, words
 from .algebras import ANTIPODE, COMUL, LABELS, MUL, SUITES
 from .linear import (Lin, _build, dual_pairing, extend_bilinear,
                      extend_linear, lin_sum, tensor, tensor_map, tensor_mul)
@@ -32,10 +34,6 @@ def _w(s: str) -> tuple[int, ...]:
 
 def _flin(*ws: str) -> Lin:
     return lin_sum(Lin.basis(_w(s)) for s in ws)
-
-
-def _tens(*pairs) -> Lin:
-    return _build(((_w(u), _w(v)), c[0] if c else 1) for u, v, *c in pairs)
 
 
 def _fail(msg: str) -> tuple[bool, str]:
@@ -84,45 +82,45 @@ def _triples(basis: str, total: int):
 # ---------------------------------------------------------------------------
 # worked-example replays
 
-def check_example_f_product(d: int) -> tuple[bool, str]:
-    got = fbasis.f_product((1, 2), (1, 1))
-    want = _flin("1233", "1323", "1332", "3123", "3132", "3312")
-    return _diff("F_12 F_11", got, want)
+# Each worked example that is one command is stated once, as its command
+# line and the text the command prints, and replayed through the CLI.
+EXAMPLES = {
+    "f-product": ("mul --basis F 12 11",
+                  "F_1233 + F_1323 + F_1332 + F_3123 + F_3132 + F_3312"),
+    "f-coproduct": ("comul 3132",
+                    "1 (x) F_3132 + F_1 (x) F_132 + F_21 (x) F_21 "
+                    "+ F_212 (x) F_1 + F_3132 (x) 1"),
+    "f-antipode": ("antipode 122", "F_212 - F_213 + F_221 - F_231 - F_321"),
+    "g-product": ("mul --basis G 12 11",
+                  "G_1211 + G_1222 + G_1233 + G_1311 + G_1322 + G_1411 "
+                  "+ G_1422 + G_2311 + G_2411 + G_3411"),
+    "g-coproduct": ("comul --basis G 41252",
+                    "1 (x) G_41252 + G_1 (x) G_3141 + G_122 (x) G_12 "
+                    "+ G_4122 (x) G_1 + G_41252 (x) 1"),
+    "p-coproduct": ("comul --basis P 1124",
+                    "1 (x) P^1124 + P^1 (x) P^112 + P^1 (x) P^113 "
+                    "+ P^1 (x) P^123 + P^11 (x) P^12 + P^12 (x) P^11 "
+                    "+ 2*P^12 (x) P^12 + P^112 (x) P^1 + P^113 (x) P^1 "
+                    "+ P^123 (x) P^1 + P^1124 (x) 1"),
+    "m-product": ("mul --basis M 12 11",
+                  "M_1112 + M_1113 + M_1114 + M_1123 + M_1124 + M_1134 "
+                  "+ M_1222 + M_1223 + M_1224 + M_1233"),
+}
 
 
-def check_example_f_coproduct(d: int) -> tuple[bool, str]:
-    got = fbasis.f_coproduct((3, 1, 3, 2))
-    want = _tens(("", "3132"), ("1", "132"), ("21", "21"), ("212", "1"),
-                 ("3132", ""))
-    return _diff("coproduct of F_3132", got, want)
-
-
-def check_example_f_antipode(d: int) -> tuple[bool, str]:
-    got = fbasis.f_antipode((1, 2, 2))
-    want = (_flin("212", "221") - _flin("213", "231", "321"))
-    return _diff("antipode of F_122", got, want)
+def _replay(name: str, d: int) -> tuple[bool, str]:
+    argv, want = EXAMPLES[name]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv.split())
+    if code != 0:
+        return _fail(f"`parkhopf {argv}` exited {code}: {err.getvalue().strip()}")
+    return _diff(f"`parkhopf {argv}`", out.getvalue().rstrip("\n"), want)
 
 
 def check_example_parkization(d: int) -> tuple[bool, str]:
     got = words.parkize((3, 5, 1, 1, 11, 8, 8, 2))
     return _diff("parkization", got, (3, 5, 1, 1, 8, 6, 6, 2))
-
-
-def check_example_g_product(d: int) -> tuple[bool, str]:
-    got = gbasis.g_product((1, 2), (1, 1))
-    want = _flin("1211", "1222", "1233", "1311", "1322",
-                 "1411", "1422", "2311", "2411", "3411")
-    return _diff("G_12 G_11", got, want)
-
-
-def check_example_g_coproduct(d: int) -> tuple[bool, str]:
-    a = (4, 1, 2, 5, 2)
-    if words.breakpoints(a) != (1, 3, 4, 5):
-        return _fail(f"breakpoints of {a} misreported")
-    got = gbasis.g_coproduct(a)
-    want = _tens(("", "41252"), ("1", "3141"), ("122", "12"),
-                 ("4122", "1"), ("41252", ""))
-    return _diff("coproduct of G_41252", got, want)
 
 
 def check_example_nc_bijection(d: int) -> tuple[bool, str]:
@@ -131,21 +129,6 @@ def check_example_nc_bijection(d: int) -> tuple[bool, str]:
         return _fail("blocks 13|2|45 do not map to 11244")
     got = tuple(sorted(tuple(sorted(b)) for b in words.nc_of_parking((4, 2, 1, 4, 1))))
     return _diff("non-crossing partition of 42141", got, blocks)
-
-
-def check_example_p_coproduct(d: int) -> tuple[bool, str]:
-    got = catalan.p_coproduct((1, 1, 2, 4))
-    want = _tens(("", "1124"), ("1", "112"), ("1", "113"), ("1", "123"),
-                 ("11", "12"), ("12", "11"), ("12", "12", 2),
-                 ("112", "1"), ("113", "1"), ("123", "1"), ("1124", ""))
-    return _diff("coproduct of the class of 1124", got, want)
-
-
-def check_example_m_product(d: int) -> tuple[bool, str]:
-    got = catalan.m_product((1, 2), (1, 1))
-    want = _flin("1112", "1113", "1114", "1123", "1124",
-                 "1134", "1222", "1223", "1224", "1233")
-    return _diff("M_12 M_11", got, want)
 
 
 def check_example_m_polynomials(d: int) -> tuple[bool, str]:
@@ -721,12 +704,16 @@ def check_characteristics(d: int) -> tuple[bool, str]:
         if symfun.prime_characteristic(n) != symfun.prime_characteristic_closed(n):
             return _fail(f"prime character routes differ at n={n}")
     for n in range(1, d + 1):
-        for i in words.compositions(n):
-            if symfun.type_characteristic(i) != symfun.type_characteristic_by_words(i):
+        types = {i: symfun.type_characteristic(i) for i in words.compositions(n)}
+        for i, tc in types.items():
+            if tc != symfun.type_characteristic_by_words(i):
                 return _fail(f"type character routes differ at {i}")
         pc = symfun.parking_characteristic(n)
         if pc != symfun.parking_characteristic_by_words(n):
             return _fail(f"full character routes differ at n={n}")
+        # PF_n = sum over compositions I of n of the products f_I
+        if pc.vec != lin_sum(tc.vec for tc in types.values()):
+            return _fail(f"full character is not the sum over types at n={n}")
         star_route = symfun.omega(symfun.h_star(n)).scale((-1) ** n)
         if pc != star_route:
             return _fail(f"character/star identity fails at n={n}")
@@ -1068,15 +1055,15 @@ class CheckResult:
 
 
 CHECKS: list[tuple[str, str, str, object]] = [
-    ("paper-examples", "f-product", "check", check_example_f_product),
-    ("paper-examples", "f-coproduct", "check", check_example_f_coproduct),
-    ("paper-examples", "f-antipode", "check", check_example_f_antipode),
+    ("paper-examples", "f-product", "check", partial(_replay, "f-product")),
+    ("paper-examples", "f-coproduct", "check", partial(_replay, "f-coproduct")),
+    ("paper-examples", "f-antipode", "check", partial(_replay, "f-antipode")),
     ("paper-examples", "parkization", "check", check_example_parkization),
-    ("paper-examples", "g-product", "check", check_example_g_product),
-    ("paper-examples", "g-coproduct", "check", check_example_g_coproduct),
+    ("paper-examples", "g-product", "check", partial(_replay, "g-product")),
+    ("paper-examples", "g-coproduct", "check", partial(_replay, "g-coproduct")),
     ("paper-examples", "nc-bijection", "check", check_example_nc_bijection),
-    ("paper-examples", "p-coproduct", "check", check_example_p_coproduct),
-    ("paper-examples", "m-product", "check", check_example_m_product),
+    ("paper-examples", "p-coproduct", "check", partial(_replay, "p-coproduct")),
+    ("paper-examples", "m-product", "check", partial(_replay, "m-product")),
     ("paper-examples", "m-polynomials", "check", check_example_m_polynomials),
     ("paper-examples", "successors", "check", check_example_successors),
     ("paper-examples", "ribbon-product", "check", check_example_ribbon_product),

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from parkhopf import cli, words
+from parkhopf import algebras, cli, verify, words
 from parkhopf.cli import main
 from parkhopf.jsonio import render_word
+from parkhopf.linear import Lin
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -26,14 +29,39 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _readme_commands():
+    """(argv, comment) for each line of the README's command block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        yield command.split()[1:], comment.strip()
+
+
+def test_readme_command_block(capsys, monkeypatch):
+    # each `parkhopf ...` line prints what its comment says: the whole output,
+    # or its head and "(k terms)"; the verify line is left to test_verify_*
+    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
+    commands = list(_readme_commands())
+    assert len(commands) == 13 and commands[-1][0][0] == "verify"
+    for argv, comment in commands[:-1]:
+        code, out, _ = run(capsys, *argv)
+        out = out.strip()
+        head, dots, count = comment.partition(" ... (")
+        if dots:
+            terms = len(re.split(r"\n| [+-] ", out))
+            assert (code, count) == (0, f"{terms} terms)"), argv
+            assert out.startswith(head), argv
+        else:
+            assert (code, out) == (0, comment), argv
+
+
 def test_enum_count(capsys):
-    code, out, _ = run(capsys, "enum", "pf", "3", "--count-only")
-    assert code == 0 and out.strip() == "16"
-
-
-def test_enum_stream(capsys):
-    code, out, _ = run(capsys, "enum", "prime", "2")
-    assert code == 0 and out.strip() == "11"
+    # --count-only prints the length of the class the stream lists
+    for kind in words.ENUM_KINDS:
+        count, listed = (run(capsys, "enum", kind, "4", *flag)[1]
+                         for flag in (["--count-only"], []))
+        assert int(count) == len(listed.splitlines()) > 0, kind
 
 
 def test_enum_bound(capsys):
@@ -159,18 +187,29 @@ def test_op_malformed_input(capsys, argv, message):
     assert code == 3 and out == "" and err == f"parkhopf: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [("mul", "1"), ("mul", "--basis", "X", "1", "1")])
+@pytest.mark.parametrize("argv", [("mul", "1"), ("mul", "--basis", "X", "1", "1"),
+                                  ("cumulants", "--moments", "-1,2")])
 def test_op_rejected_by_the_parser(capsys, argv):
+    # a usage error is malformed input
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
-    assert exc.value.code == 2
+    assert exc.value.code == 3
 
 
-def test_mul_text(capsys):
-    code, out, _ = run(capsys, "mul", "--basis", "F", "12", "11")
-    assert code == 0
-    assert out.strip() == ("F_1233 + F_1323 + F_1332 + F_3123 + F_3132 "
-                           "+ F_3312")
+def _example_verdict(name):
+    [result] = [r for r in verify.run("paper-examples", 0) if r.name == name]
+    return result.ok, result.detail
+
+
+# paper-examples replays the single-operation worked examples through the
+# command line: a wrong structure map fails the row that prints it.
+
+def test_mul_text(monkeypatch):
+    product = algebras.MUL["F"]
+    monkeypatch.setitem(algebras.MUL, "F",
+                        lambda a, b: product(a, b) - Lin.basis((3, 3, 1, 2)))
+    ok, detail = _example_verdict("f-product")
+    assert not ok and "mul --basis F 12 11" in detail
 
 
 def test_mul_malformed(capsys):
@@ -178,17 +217,19 @@ def test_mul_malformed(capsys):
     assert code == 3 and "not a parking function" in err
 
 
-def test_antipode_text(capsys):
-    code, out, _ = run(capsys, "antipode", "122")
-    assert code == 0
-    assert out.strip() == "F_212 - F_213 + F_221 - F_231 - F_321"
+def test_antipode_text(monkeypatch):
+    antipode = algebras.ANTIPODE["F"]
+    monkeypatch.setitem(algebras.ANTIPODE, "F", lambda a: -antipode(a))
+    ok, detail = _example_verdict("f-antipode")
+    assert not ok and "antipode 122" in detail
 
 
-def test_comul_text(capsys):
-    code, out, _ = run(capsys, "comul", "--basis", "G", "41252")
-    assert code == 0
-    assert out.strip() == ("1 (x) G_41252 + G_1 (x) G_3141 + G_122 (x) G_12 "
-                           "+ G_4122 (x) G_1 + G_41252 (x) 1")
+def test_comul_text(monkeypatch):
+    coproduct = algebras.COMUL["G"]
+    monkeypatch.setitem(algebras.COMUL, "G", lambda a: coproduct(a)
+                        - Lin.basis(((1,), (3, 1, 4, 1))))
+    ok, detail = _example_verdict("g-coproduct")
+    assert not ok and "comul --basis G 41252" in detail
 
 
 def test_mul_json_schema(capsys):
@@ -300,14 +341,11 @@ def test_class_bound_is_raised_by_the_override(capsys, monkeypatch):
 
 
 def test_series_outputs(capsys):
-    cases = {
-        ("connected", "6"): "1 2 11 92 1014 13795",
-        ("lie", "5"): "1 2 9 80 901",
-        ("schroder", "4"): "1 1 3 11 45",
-    }
-    for (which, n), want in cases.items():
-        code, out, _ = run(capsys, "series", which, n)
-        assert code == 0 and out.strip() == want
+    # the text line is the JSON document's coefficients
+    for which in ("connected", "lie", "schroder"):
+        text, doc = (run(capsys, "series", which, "6", *fmt)[1]
+                     for fmt in ([], ["--format", "json"]))
+        assert text.split() == list(map(str, json.loads(doc)["coefficients"]))
 
 
 def test_series_g(capsys):
@@ -322,10 +360,6 @@ def test_series_bound(capsys):
 
 
 def test_cumulants(capsys):
-    code, out, _ = run(capsys, "cumulants", "--moments", "0,1,0,2")
-    assert code == 0 and out.strip() == "0,1,0,0"
-    code, out, _ = run(capsys, "cumulants", "--cumulants", "1,1,1")
-    assert code == 0 and out.strip() == "1,2,5"
     code, out, _ = run(capsys, "cumulants", "--moments", "1/2,1/3", "--check")
     assert code == 0 and out.strip() == "1/2,1/12"
 
@@ -430,7 +464,7 @@ def test_verify_equivalences_reports_red_law(capsys):
 def test_verify_unknown_suite_is_rejected_by_the_parser():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
 
 
 def test_verify_degree_bound(capsys):
@@ -449,13 +483,7 @@ def test_negative_size_is_malformed_input(capsys, argv):
     assert "must be nonnegative, got -1" in err
 
 
-def test_deterministic_output(capsys):
-    first = run(capsys, "mul", "--basis", "F", "12", "11")
-    second = run(capsys, "mul", "--basis", "F", "12", "11")
-    assert first == second
-
-
-CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "cli_corpus.json"
+CORPUS = ROOT / "perfbench" / "cli_corpus.json"
 
 
 def test_cli_corpus_is_byte_identical(capsys, monkeypatch):

@@ -103,11 +103,8 @@ def test_product_rejects_a_factor_that_does_not_park(a1, a2, bad):
 
 
 def test_product_example():
-    got = gbasis.g_product(w("12"), w("11"))
-    want = lin_sum(Lin.basis(w(s)) for s in
-                   ("1211", "1222", "1233", "1311", "1322",
-                    "1411", "1422", "2311", "2411", "3411"))
-    assert got == want
+    # stated once, as the g-product row of verify.EXAMPLES
+    assert verify._replay("g-product", 0) == verify.OK
 
 
 def test_product_by_duality_agrees():
@@ -115,11 +112,7 @@ def test_product_by_duality_agrees():
 
 
 def test_coproduct_example():
-    got = gbasis.g_coproduct(w("41252"))
-    want = lin_sum(Lin.basis((w(a), w(b))) for a, b in
-                   [("", "41252"), ("1", "3141"), ("122", "12"),
-                    ("4122", "1"), ("41252", "")])
-    assert got == want
+    assert verify._replay("g-coproduct", 0) == verify.OK
 
 
 def test_coproduct_counts_breakpoints():
