@@ -4,14 +4,33 @@ A basis is a key of the tables below: how its labels are parsed, rendered
 and encoded (`BASES`), its structure maps where they exist (`MUL`, `COMUL`,
 `ANTIPODE`, each on basis labels) and its labels degree by degree
 (`LABELS`).  The command line and the verification suites both read these
-tables; they hold no caches of their own.  `SUITES` names the verification
-suites, so the command line can offer them without importing `verify`.
+tables.  Each entry names the module that computes it and looks the
+function up there when called, importing the module on its first call: a
+command loads only the algebra it uses, and an entry calls whatever the
+module holds under that name at the time, a replaced attribute included.
+`SUITES` names the verification suites, so the command line can offer them
+without importing `verify`.
 """
 from __future__ import annotations
 
-from . import catalan, fbasis, gbasis, schroder, words
+from importlib import import_module
+
+from . import words
 from .jsonio import parse_word, render_word
 from .linear import Lin
+
+
+def _late(short: str, name: str):
+    """Call `name` of the package module `short`, imported on first call
+    and looked up on every call."""
+    module = None
+
+    def entry(*args):
+        nonlocal module
+        if module is None:
+            module = import_module(f"{__package__}.{short}")
+        return getattr(module, name)(*args)
+    return entry
 
 
 def _parse_parking(text: str):
@@ -28,12 +47,16 @@ def _parse_catalan(text: str):
     return w
 
 
+_key_of_word = _late("schroder", "key_of_word")
+_representative = _late("schroder", "representative")
+
+
 def _parse_key(text: str):
-    return schroder.key_of_word(_parse_parking(text))
+    return _key_of_word(_parse_parking(text))
 
 
 def _render_key(key) -> str:
-    return render_word(schroder.representative(key))
+    return render_word(_representative(key))
 
 
 def _encode_key(key):
@@ -51,27 +74,30 @@ BASES = {
     "Q": ("SQSym*", "Q_", _parse_key, _render_key, _encode_key),
 }
 
+_p_product = _late("catalan", "p_product")
+_g_antipode_lin = _late("gbasis", "g_antipode_lin")
+
 MUL = {
-    "F": fbasis.f_product,
-    "G": gbasis.g_product,
-    "P": lambda a, b: Lin.basis(catalan.p_product(a, b)),
-    "M": catalan.m_product,
-    "R": catalan.ribbon_product_via_p,
-    "Pq": schroder.pq_product,
-    "Q": schroder.qq_product,
+    "F": _late("fbasis", "f_product"),
+    "G": _late("gbasis", "g_product"),
+    "P": lambda a, b: Lin.basis(_p_product(a, b)),
+    "M": _late("catalan", "m_product"),
+    "R": _late("catalan", "ribbon_product_via_p"),
+    "Pq": _late("schroder", "pq_product"),
+    "Q": _late("schroder", "qq_product"),
 }
 
 COMUL = {
-    "F": fbasis.f_coproduct,
-    "G": gbasis.g_coproduct,
-    "P": catalan.p_coproduct,
-    "M": catalan.m_coproduct,
-    "Pq": schroder.pq_coproduct,
+    "F": _late("fbasis", "f_coproduct"),
+    "G": _late("gbasis", "g_coproduct"),
+    "P": _late("catalan", "p_coproduct"),
+    "M": _late("catalan", "m_coproduct"),
+    "Pq": _late("schroder", "pq_coproduct"),
 }
 
 ANTIPODE = {
-    "F": fbasis.f_antipode,
-    "G": lambda a: gbasis.g_antipode_lin(Lin.basis(a)),
+    "F": _late("fbasis", "f_antipode"),
+    "G": lambda a: _g_antipode_lin(Lin.basis(a)),
 }
 
 
@@ -79,14 +105,17 @@ def _catalan_labels(n: int) -> list:
     return list(words.nondecreasing_parking_functions(n))
 
 
+_classes = _late("schroder", "classes")
+
+
 def _class_labels(n: int) -> list:
-    return sorted(schroder.classes(n))
+    return sorted(_classes(n))
 
 
 # basis -> the sorted labels of degree n; degree 0 gives the unit label
 LABELS = {
-    "F": words.parking_list,
-    "G": words.parking_list,
+    "F": _late("words", "parking_list"),
+    "G": _late("words", "parking_list"),
     "P": _catalan_labels,
     "M": _catalan_labels,
     "R": _catalan_labels,

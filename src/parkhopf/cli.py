@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import catalan, gbasis, schroder, symfun, words
+from . import words
 from .algebras import ANTIPODE, BASES, COMUL, MUL, SUITES
 from .jsonio import (format_coeff, lin_to_json, lin_to_text, render_word,
                      tensor_to_json, tensor_to_text)
@@ -174,6 +174,7 @@ def cmd_op(args) -> int:
         if args.basis in ("Pq", "Q"):
             # operating on or rendering a class builds its degree's whole
             # class table, so the output degree gets the enumeration bound
+            from . import schroder
             degree = sum(map(schroder.key_degree, labels))
             bound = _bound(ENUM_BOUND)
             if degree > bound:
@@ -198,10 +199,12 @@ def cmd_series(args) -> int:
     if args.which == "connected":
         coeffs = words.connected_counts(n)
     elif args.which == "lie":
+        from . import gbasis
         coeffs = gbasis.lie_generator_series(n)
     elif args.which == "schroder":
         coeffs = [words.schroder_count(k) for k in range(n + 1)]
     else:  # g
+        from . import catalan
         g = catalan.g_series(n)
         lines = [f"g_{k} = " + lin_to_text(g[k], "S^") for k in range(1, n + 1)]
         payload = {"series": "g", "N": n,
@@ -238,6 +241,7 @@ def cmd_cumulants(args) -> int:
     if len(seq) > bound:
         return _die(2, f"sequence bound exceeded: {len(seq)} > {bound}")
     _check_out(args)
+    from . import symfun
     if args.moments is not None:
         out = symfun.moments_to_cumulants(seq)
         direction = "moments->cumulants"

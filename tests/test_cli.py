@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from parkhopf import algebras, cli, verify, words
+from parkhopf import algebras, catalan, cli, fbasis, gbasis, verify, words
 from parkhopf.cli import main
 from parkhopf.jsonio import render_word
 from parkhopf.linear import Lin
@@ -144,13 +144,55 @@ def test_enum_pf_7_through_an_unbuffered_pipe():
         "4936cafbf55955b056abcb8e7c1233072d5729c32cc51c3e2188e0f5025f6c17")
 
 
-def test_cli_import_leaves_verify_unloaded():
+_FOOTPRINT = """import sys
+from parkhopf.cli import main
+code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(*sorted(m for m in sys.modules if m.startswith("parkhopf.")))
+sys.exit(code)
+"""
+_CLI_MODULES = {"parkhopf.cli", "parkhopf.algebras", "parkhopf.jsonio",
+                "parkhopf.linear", "parkhopf.words"}
+
+
+@pytest.mark.parametrize("argv, more", [
+    ([], set()),
+    (["enum", "pf", "3", "--count-only"], set()),
+    (["mul", "--basis", "F", "12", "11"], {"fbasis"}),
+    (["comul", "--basis", "G", "41252"], {"fbasis", "gbasis"}),
+    (["cumulants", "--moments", "0,1,0,2"], {"series", "symfun"}),
+], ids=["import", "enum", "mul-F", "comul-G", "cumulants"])
+def test_cli_loads_only_the_modules_its_command_runs(argv, more):
+    # exactly these: an import that comes back to the top of a module
+    # (`verify` included) shows here
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, parkhopf.cli; print('parkhopf.verify' in sys.modules)"],
-        env=env, stdout=subprocess.PIPE, check=True)
-    assert proc.stdout == b"False\n"
+    env.pop("PARKHOPF_MAX_N", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _FOOTPRINT,
+                           *argv], env=env, stdout=subprocess.PIPE, check=True)
+    loaded = proc.stdout.decode().splitlines()[-1].split()
+    assert set(loaded) == _CLI_MODULES | {f"parkhopf.{m}" for m in more}
+
+
+@pytest.mark.parametrize("table, basis, module, name, args", [
+    ("MUL", "F", fbasis, "f_product", ((1, 2), (1, 1))),
+    ("COMUL", "G", gbasis, "g_coproduct", ((4, 1, 2, 5, 2),)),
+    ("ANTIPODE", "G", gbasis, "g_antipode_lin", ((1, 2, 2),)),
+    ("MUL", "P", catalan, "p_product", ((1,), (1, 2))),
+], ids=["F-mul", "G-comul", "G-antipode", "P-mul"])
+def test_table_entries_look_their_function_up_on_each_call(
+        monkeypatch, table, basis, module, name, args):
+    # the tracer in perfbench replaces module attributes; calls made through
+    # the tables must reach the replacement, also once the entry has run
+    assert getattr(cli, table) is getattr(algebras, table)
+    entry = getattr(algebras, table)[basis]
+    want = entry(*args)
+    original, seen = getattr(module, name), []
+
+    def spy(*a):
+        seen.append(a)
+        return original(*a)
+    monkeypatch.setattr(module, name, spy)
+    assert entry(*args) == want and getattr(cli, table)[basis](*args) == want
+    assert len(seen) == 2
 
 
 def _render_word_reference(w) -> str:
