@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import log10
 
 from . import words
 from .algebras import ANTIPODE, BASES, COMUL, MUL, SUITES
@@ -23,6 +24,7 @@ ENUM_BOUND = 8
 SERIES_BOUND = 12
 DEGREE_BOUND = 5
 CUMULANT_BOUND = 20
+CUMULANT_DIGITS = 64  # per numerator or denominator; PARKHOPF_MAX_N leaves it
 ENUM_BLOCK = 4096  # words per write of the enum stream
 
 
@@ -231,6 +233,18 @@ def _parse_rationals(text: str) -> list[Fraction]:
         raise ValueError(f"malformed rational list: {text!r}") from exc
 
 
+def _digits(x: int) -> int:
+    """Decimal digits of |x|, counted without `str`, which refuses an int
+    longer than the interpreter's limit (a decimal's denominator can be)."""
+    x = abs(x)
+    if not x:
+        return 1
+    k = int(log10(x)) + 1  # the float can be one off near a power of ten
+    if x < 10 ** (k - 1):
+        return k - 1
+    return k + 1 if x >= 10 ** k else k
+
+
 def cmd_cumulants(args) -> int:
     source = args.moments if args.moments is not None else args.cumulants
     try:
@@ -240,6 +254,10 @@ def cmd_cumulants(args) -> int:
     bound = _bound(CUMULANT_BOUND)
     if len(seq) > bound:
         return _die(2, f"sequence bound exceeded: {len(seq)} > {bound}")
+    digits = max(_digits(part) for c in seq
+                 for part in (c.numerator, c.denominator))
+    if digits > CUMULANT_DIGITS:
+        return _die(2, f"digit bound exceeded: {digits} > {CUMULANT_DIGITS}")
     _check_out(args)
     from . import symfun
     if args.moments is not None:

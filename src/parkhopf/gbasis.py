@@ -141,12 +141,21 @@ def _g_antipode(a: Word) -> Lin:
 g_antipode_lin = extend_linear(_g_antipode)
 
 
+@lru_cache(maxsize=None)
+def _by_standardization(n: int) -> dict[Word, tuple[Word, ...]]:
+    """The parking functions of length n grouped by standardization, each
+    group in lexicographic order."""
+    groups: dict[Word, list[Word]] = {}
+    for a in parking_list(n):
+        groups.setdefault(standardize(a), []).append(a)
+    return {p: tuple(g) for p, g in groups.items()}
+
+
 def phi(sigma: Word) -> Lin:
     """Embedding of a permutation: sum of G_a over std(a) = sigma^{-1}."""
     sigma = tuple(sigma)
-    target = inverse_permutation(sigma)
-    return _build((a, 1) for a in parking_list(len(sigma))
-                  if standardize(a) == target)
+    group = _by_standardization(len(sigma)).get(inverse_permutation(sigma), ())
+    return _build((a, 1) for a in group)
 
 
 def g_mult_basis(x: Word) -> Lin:

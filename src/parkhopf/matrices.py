@@ -11,7 +11,7 @@ from itertools import chain, combinations, compress
 from operator import itemgetter
 
 from .linear import Lin, _build, extend_bilinear, extend_linear
-from .words import Word, parkize
+from .words import Word
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -111,16 +111,32 @@ def augmented_shuffle(p: Matrix, q: Matrix) -> list[Matrix]:
 def matrix_parkize(m: Matrix) -> Matrix:
     """Relabel the columns by the parkization of the reading and trim
     trailing zero columns so the width is at most the number of ones;
-    fixed points (reading parks, width <= ones) come back as they are."""
+    fixed points (reading parks, width <= ones) come back as they are.
+
+    Parkization sees only the multiset of the reading's letters, so one
+    pass over the column sums relabels, as `words.parkize` does on the
+    sorted reading: a nonzero column j with `below` ones to its left keeps
+    its gap to the previous nonzero column unless that would lift it above
+    below + 1.  A label never moves up and its drop never shrinks, so the
+    reading parks exactly when the last nonzero column keeps its label.
+    """
     m = _normalize(m)
-    r = reading(m)
-    p = parkize(r)
-    n = len(r)
-    if p == r and width(m) <= n:
+    pick = []  # old column (0-based) of each new one; -1 for a zero column
+    below = prev = cur = 0  # ones so far; last nonzero column, its new label
+    for j, ones_here in enumerate(map(sum, zip(*m)), start=1):
+        if ones_here:
+            cur += j - prev
+            if cur > below + 1:
+                cur = below + 1
+            if len(pick) < cur - 1:  # a zero column inside a kept gap
+                pick += [-1] * (cur - 1 - len(pick))
+            pick.append(j - 1)
+            prev = j
+            below += ones_here
+    cols = width(m)
+    if cur == prev and cols <= below:
         return m
-    cols = min(width(m) - max(r, default=0) + max(p, default=0), n)
-    source = dict(zip(p, r))  # new column -> old column, for nonzero columns
-    pick = [source.get(c, 0) - 1 for c in range(1, cols + 1)]
+    pick += [-1] * (min(cols - prev + cur, below) - cur)
     if not pick:
         return ((),) * len(m)
     if -1 in pick:  # a new column with no source reads the appended zero

@@ -192,6 +192,7 @@ def star(x: Sym) -> Sym:
     return Sym(_substitute(x.vec, lambda part: h_star(part).vec))
 
 
+@lru_cache(maxsize=None)
 def e_star(n: int) -> Sym:
     return star(Sym.e((n,)) if n else Sym.one())
 

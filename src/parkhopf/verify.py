@@ -387,19 +387,33 @@ def check_duality_unshuffle(d: int) -> tuple[bool, str]:
                  _upto("F", d))
 
 
+def _dual_rows(dual: dict, labels, expand) -> dict:
+    """Row x of the matrix of pairings <dual[b], expand(x)> over the labels
+    b, for every label x: each expand(x) is mapped once through an index
+    of the dual table by the labels of its terms."""
+    index: dict = {}
+    for b in labels:
+        for c, v in dual[b].items():
+            index.setdefault(c, []).append((b, v))
+    return {x: _build((b, v * w) for c, w in expand(x).items()
+                      for b, v in index.get(c, ()))
+            for x in labels}
+
+
 def check_duality_st_bases(d: int) -> tuple[bool, str]:
+    """S P = I and T Q = I in every degree n <= d, where P and Q expand the
+    two multiplicative bases and S and T are their dual tables; the first
+    bad pairing (b, x) in label order is reported."""
     for n in range(1, d + 1):
-        s, t = gbasis.st_dual_bases(n)
         labels = LABELS["F"](n)
-        f_prods = {x: fbasis.f_mult_basis(x) for x in labels}
-        g_prods = {x: gbasis.g_mult_basis(x) for x in labels}
-        for b in labels:
-            for x in labels:
-                want = int(b == x)
-                if dual_pairing(s[b], f_prods[x]) != want:
-                    return _fail(f"S basis not dual to products at {b},{x}")
-                if dual_pairing(t[b], g_prods[x]) != want:
-                    return _fail(f"T basis not dual to products at {b},{x}")
+        s, t = gbasis.st_dual_bases(n)
+        bad = [(b, x, tag) for tag, dual, expand in (
+                   ("S", s, fbasis.f_mult_basis), ("T", t, gbasis.g_mult_basis))
+               for x, row in _dual_rows(dual, labels, expand).items()
+               for b in (row - Lin.basis(x)).labels()]
+        if bad:
+            b, x, tag = min(bad)
+            return _fail(f"{tag} basis not dual to products at {b},{x}")
     return OK
 
 
@@ -551,7 +565,7 @@ def check_prime_characterizations(d: int) -> tuple[bool, str]:
             if words.is_prime(pi) != words.is_connected(pi):
                 return _fail(f"prime/connected disagree on sorted {pi}")
     for n in range(1, d + 3):
-        for a in LABELS["F"](n):
+        for a in words.parking_functions(n):
             bps = words.breakpoints(a)
             gaps = tuple(b - a_ for a_, b in zip((0,) + bps, bps))
             if words.prime_type(a) != gaps:

@@ -158,12 +158,19 @@ def shifted_shuffle(u: Word, v: Word) -> list[Word]:
 # breakpoints, primality, connectedness
 
 def breakpoints(a: Word) -> tuple[int, ...]:
-    """Values b such that exactly b letters of the parking function a are <= b."""
-    if not is_parking(a):
-        raise ValueError("not a parking function")
+    """Values b such that exactly b letters of the parking function a are <= b.
+
+    One pass counts the letters, refusing a letter below 1 or above the
+    length as `is_parking` does, and one walks the thresholds: a count
+    below b means a is not parking, a count equal to b is a breakpoint.
+    """
     n = len(a)
     counts = [0] * (n + 1)
     for x in a:
+        if x < 1:
+            raise ValueError(f"letters must be positive integers, got {x}")
+        if x > n:
+            raise ValueError("not a parking function")
         counts[x] += 1
     out = []
     seen = 0
@@ -171,6 +178,8 @@ def breakpoints(a: Word) -> tuple[int, ...]:
         seen += counts[b]
         if seen == b:
             out.append(b)
+        elif seen < b:
+            raise ValueError("not a parking function")
     return tuple(out)
 
 
@@ -183,17 +192,8 @@ def is_prime(a: Word) -> bool:
 
 def _split_points(w: Word) -> list[int]:
     # k splits w into w[:k] * (w[k:] - k) exactly when every later letter exceeds k
-    n = len(w)
-    out = []
-    suffix_min = n + 2
-    mins = [0] * n
-    for i in range(n - 1, -1, -1):
-        suffix_min = min(suffix_min, w[i])
-        mins[i] = suffix_min
-    for k in range(1, n):
-        if mins[k] > k:
-            out.append(k)
-    return out
+    mins = list(itertools.accumulate(reversed(w), min))[::-1]
+    return [k for k in range(1, len(w)) if mins[k] > k]
 
 
 def is_connected(w: Word) -> bool:
@@ -225,7 +225,8 @@ def prime_type(a: Word) -> Composition:
         raise ValueError("not a parking function")
     if len(a) == 0:
         return ()
-    return tuple(len(f) for f in connected_factorization(tuple(sorted(a))))
+    cuts = _split_points(sorted(a))
+    return tuple(map(sub, cuts + [len(a)], [0] + cuts))
 
 
 def mirror(w: Word) -> Word:

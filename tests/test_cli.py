@@ -473,18 +473,78 @@ def test_cumulants_refuse_exponent_notation(text):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_cumulants_too_long_to_render(capsys, fmt):
-    # r_2 = 1 - 10^4398 has 4 399 digits, over the default int-to-str limit
+def test_cumulants_too_long_to_render(capsys, monkeypatch, fmt):
+    # 21 terms 1/(10^63 + k), each within the digit bound: r_21 has a
+    # denominator of 4 380 digits, over the default int-to-str limit
+    monkeypatch.setenv("PARKHOPF_MAX_N", "21")
+    seq = ",".join(f"1/{10 ** 63 + k}" for k in range(1, 22))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        code, out, err = run(capsys, "cumulants", "--moments",
-                             "1" + "0" * 2199 + ",1", "--format", fmt)
+        code, out, err = run(capsys, "cumulants", "--moments", seq,
+                             "--format", fmt)
     finally:
         sys.set_int_max_str_digits(limit)
     assert code == 2 and out == ""
     assert err == ("parkhopf: output bound exceeded: "
                    "a term has more than 4300 digits\n")
+
+
+def _wide_sequence(digits: int, where: str) -> str:
+    """Three terms whose widest numerator (or denominator) has `digits`
+    digits; it starts with a minus sign."""
+    wide = str(10 ** digits - 1)
+    term = f"-{wide}/7" if where == "numerator" else f"-7/{wide}"
+    return f"{term},1/3,2"
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("direction", ["--moments", "--cumulants"])
+@pytest.mark.parametrize("where", ["numerator", "denominator"])
+def test_cumulants_digit_bound(capsys, monkeypatch, where, direction, fmt,
+                               check):
+    at_bound = _wide_sequence(cli.CUMULANT_DIGITS, where)
+    code, out, err = run(capsys, "cumulants", f"{direction}={at_bound}",
+                         "--format", fmt, *check)
+    assert code == 0 and out and err == ""
+
+    def work(*_args):
+        raise AssertionError("the work ran above the digit bound")
+
+    from parkhopf import symfun
+    for name in ("moments_to_cumulants", "cumulants_to_moments", "nc_moment"):
+        monkeypatch.setattr(symfun, name, work)
+    # the length override does not raise the digit bound
+    monkeypatch.setenv("PARKHOPF_MAX_N", "1000")
+    over = _wide_sequence(cli.CUMULANT_DIGITS + 1, where)
+    code, out, err = run(capsys, "cumulants", f"{direction}={over}",
+                         "--format", fmt, *check)
+    assert code == 2 and out == ""
+    assert err == (f"parkhopf: digit bound exceeded: "
+                   f"{cli.CUMULANT_DIGITS + 1} > {cli.CUMULANT_DIGITS}\n")
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("1/" + "0" * 70 + "3", 1),             # leading zeros are not digits
+    ("0." + "0" * 62 + "1", 64),            # 1/10^63
+    ("0." + "0" * 63 + "1", 65),            # 1/10^64
+    ("0." + "1" * 4300, 4301),              # past the int-to-str limit
+])
+def test_cumulants_digit_bound_counts_lowest_terms(capsys, text, digits):
+    code, out, err = run(capsys, "cumulants", f"--moments={text}")
+    if digits <= cli.CUMULANT_DIGITS:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err == (f"parkhopf: digit bound exceeded: {digits} > "
+                       f"{cli.CUMULANT_DIGITS}\n")
+
+
+def test_cumulants_numeral_past_the_interpreter_limit_is_malformed(capsys):
+    code, out, err = run(capsys, "cumulants", "--moments=2," + "1" * 4301)
+    assert code == 3 and out == ""
+    assert err.startswith("parkhopf: malformed rational list: ")
 
 
 def test_verify_passing_suites(capsys):

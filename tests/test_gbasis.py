@@ -1,6 +1,7 @@
 """Dual basis: convolution product, breakpoint coproduct, dual bases."""
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from itertools import combinations
@@ -143,6 +144,15 @@ def test_phi():
     assert gbasis.phi((1, 2)) == Lin.basis(w("11")) + Lin.basis(w("12"))
     assert gbasis.phi((2, 1)) == Lin.basis(w("21"))
     assert verify.check_phi_morphism(3)[0]
+
+
+def test_phi_matches_the_scan_of_all_parking_functions():
+    for n in range(6):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            target = words.inverse_permutation(sigma)
+            want = lin_sum(Lin.basis(a) for a in words.parking_list(n)
+                           if words.standardize(a) == target)
+            assert gbasis.phi(sigma) == want, sigma
 
 
 def test_classic_convolution():

@@ -52,6 +52,7 @@ def test_a_corrupted_recurrence_is_caught_by_the_oracles(monkeypatch):
 
     monkeypatch.setattr(series, "_lower_terms", corrupted)
     symfun.h_star.cache_clear()
+    symfun.e_star.cache_clear()
     try:
         assert verify.check_star_involution(2) == (
             False, "star routes differ at n=3")
@@ -59,3 +60,4 @@ def test_a_corrupted_recurrence_is_caught_by_the_oracles(monkeypatch):
             False, "series route differs from oracle at degree 3")
     finally:
         symfun.h_star.cache_clear()
+        symfun.e_star.cache_clear()

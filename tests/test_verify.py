@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from parkhopf import algebras, gbasis, matrices, verify
-from parkhopf.linear import Lin
+from parkhopf import algebras, fbasis, gbasis, matrices, symfun, verify, words
+from parkhopf.linear import Lin, dual_pairing
 
 
 def _corrupt_at(mul, degree: int, extra):
@@ -93,3 +93,108 @@ def test_matrix_parkization_check_sees_each_fault(monkeypatch):
         patch.setattr(matrices, "word_matrices", misread)
         assert verify.check_matrix_parkize(4) == (
             False, "((0, 1), (1, 0)) does not read back to (1, 2)")
+
+
+def _st_bases_by_pairing(d: int):
+    # the dim^2 pairing loop the check replaced: every dual element paired
+    # with every product, failing at the first bad (b, x) in label order
+    for n in range(1, d + 1):
+        s, t = gbasis.st_dual_bases(n)
+        labels = words.parking_list(n)
+        f_prods = {x: fbasis.f_mult_basis(x) for x in labels}
+        g_prods = {x: gbasis.g_mult_basis(x) for x in labels}
+        for b in labels:
+            for x in labels:
+                want = int(b == x)
+                if dual_pairing(s[b], f_prods[x]) != want:
+                    return False, f"S basis not dual to products at {b},{x}"
+                if dual_pairing(t[b], g_prods[x]) != want:
+                    return False, f"T basis not dual to products at {b},{x}"
+    return verify.OK
+
+
+@pytest.mark.parametrize("side, b, c, want", [
+    (0, (1, 2, 1), (1, 1, 2),
+     "S basis not dual to products at (1, 2, 1),(1, 1, 2)"),
+    (1, (2, 1, 1), (3, 1, 1),
+     "T basis not dual to products at (2, 1, 1),(3, 1, 1)"),
+])
+def test_st_dual_bases_check_sees_a_corrupted_entry(monkeypatch, side, b, c,
+                                                    want):
+    tables = gbasis.st_dual_bases
+
+    def corrupted(n):
+        got = list(tables(n))
+        if n == 3:
+            got[side] = {**got[side], b: got[side][b] + Lin.basis(c)}
+        return tuple(got)
+
+    assert verify.check_duality_st_bases(3) == verify.OK
+    assert _st_bases_by_pairing(3) == verify.OK
+    monkeypatch.setattr(gbasis, "st_dual_bases", corrupted)
+    assert verify.check_duality_st_bases(2) == verify.OK
+    assert verify.check_duality_st_bases(3) == (False, want)
+    assert _st_bases_by_pairing(3) == (False, want)
+
+
+def test_phi_morphism_check_sees_a_dropped_word(monkeypatch):
+    # phi(132) is G_132 + G_121; G_121 dropped
+    phi = gbasis.phi
+
+    def dropped(sigma):
+        got = phi(sigma)
+        return got - Lin.basis((1, 2, 1)) if tuple(sigma) == (1, 3, 2) else got
+
+    assert phi((1, 3, 2)).coeff((1, 2, 1)) == 1
+    monkeypatch.setattr(gbasis, "phi", dropped)
+    assert verify.check_phi_morphism(2) == verify.OK
+    ok, detail = verify.check_phi_morphism(3)
+    assert not ok and detail.startswith("phi product fails at ")
+
+
+def test_matrix_parkization_check_sees_swapped_columns(monkeypatch):
+    parkize = matrices.matrix_parkize
+
+    def swapped(m):
+        pm = parkize(m)
+        if matrices.width(pm) < 2:
+            return pm
+        return tuple((row[1], row[0]) + row[2:] for row in pm)
+
+    monkeypatch.setattr(matrices, "matrix_parkize", swapped)
+    assert verify.check_matrix_parkize(4) == (
+        False, "matrix parkization disagrees on ((1, 0), (1, 0))")
+
+
+def test_prime_characterizations_check_sees_a_type_off_by_one(monkeypatch):
+    # a word of length 6 = d + 2 at d = 4, read by the streamed loop only
+    word, prime_type = (2, 1, 1, 3, 5, 4), words.prime_type
+
+    def off_by_one(a):
+        got = prime_type(a)
+        return got[:-1] + (got[-1] + 1,) if tuple(a) == word else got
+
+    monkeypatch.setattr(words, "prime_type", off_by_one)
+    assert verify.check_prime_characterizations(3) == verify.OK
+    assert verify.check_prime_characterizations(4) == (
+        False, f"type differs from breakpoint gaps at {word}")
+
+
+def test_cumulant_roundtrip_check_sees_a_wrong_e_star(monkeypatch):
+    # e_star caches star's value: clear it so e_3* is rebuilt from the
+    # corrupted h_3*, and again so the corrupted value does not outlive
+    # the test
+    h_star = symfun.h_star
+
+    def wrong_at_3(n):
+        return h_star(n) + symfun.Sym.h((1, 1, 1)) if n == 3 else h_star(n)
+
+    monkeypatch.setattr(symfun, "h_star", wrong_at_3)
+    symfun.e_star.cache_clear()
+    try:
+        assert symfun.e_star(3) != -symfun.omega(
+            symfun.prime_characteristic_closed(3))
+        ok, detail = verify.check_cumulant_roundtrip(4)
+        assert not ok and detail.startswith("cumulant routes disagree on ")
+    finally:
+        symfun.e_star.cache_clear()

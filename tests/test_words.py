@@ -207,6 +207,83 @@ def test_breakpoints_and_primes():
         words.prime_type((2, 2))
 
 
+def _breakpoints_by_parking_check(a):
+    # reference: the parking test, then a second count for the breakpoints
+    if not words.is_parking(a):
+        raise ValueError("not a parking function")
+    n = len(a)
+    counts = [0] * (n + 1)
+    for x in a:
+        counts[x] += 1
+    out = []
+    seen = 0
+    for b in range(1, n + 1):
+        seen += counts[b]
+        if seen == b:
+            out.append(b)
+    return tuple(out)
+
+
+def _split_points_by_loop(w):
+    # reference: suffix minima by an explicit backward loop
+    n = len(w)
+    out = []
+    suffix_min = n + 2
+    mins = [0] * n
+    for i in range(n - 1, -1, -1):
+        suffix_min = min(suffix_min, w[i])
+        mins[i] = suffix_min
+    for k in range(1, n):
+        if mins[k] > k:
+            out.append(k)
+    return out
+
+
+def _prime_type_by_factors(a):
+    # reference: build the factors of the sorted word and take their lengths
+    if not words.is_parking(a):
+        raise ValueError("not a parking function")
+    if len(a) == 0:
+        return ()
+    w = tuple(sorted(a))
+    cuts = [0] + _split_points_by_loop(w) + [len(w)]
+    return tuple(len(tuple(x - lo for x in w[lo:hi]))
+                 for lo, hi in zip(cuts, cuts[1:]))
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+WORD_KERNELS = [(words.breakpoints, _breakpoints_by_parking_check),
+                (words.prime_type, _prime_type_by_factors),
+                (words._split_points, _split_points_by_loop)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_word_kernels_match_their_references_on_every_small_word(n):
+    # letters up to 8 exceed every length in this test, so non-parking
+    # words of each kind are covered; letters below 1 take the first error
+    for letters in (range(1, 9), range(-1, 4) if n <= 4 else ()):
+        for w in itertools.product(letters, repeat=n):
+            for kernel, reference in WORD_KERNELS:
+                assert _outcome(kernel, w) == _outcome(reference, w), w
+
+
+def test_word_kernels_match_their_references_at_length_7():
+    # every 8th parking word of length 7 (all 262 144 take about 8 s on a
+    # shared two-core host), and the non-parking words that differ from one
+    # of them in the last letter
+    listed = words.parking_list(7)[::8]
+    listed += tuple(w[:-1] + (8,) for w in listed)
+    for kernel, reference in WORD_KERNELS:
+        assert ([_outcome(kernel, w) for w in listed]
+                == [_outcome(reference, w) for w in listed])
+
+
 def test_connected_factorization():
     assert words.connected_factorization((1, 1, 3)) == ((1, 1), (1,))
     assert words.connected_factorization((1, 2, 1)) == ((1, 2, 1),)
