@@ -26,6 +26,7 @@ DEGREE_BOUND = 5
 CUMULANT_BOUND = 20
 CUMULANT_DIGITS = 64  # per numerator or denominator; PARKHOPF_MAX_N leaves it
 ENUM_BLOCK = 4096  # words per write of the enum stream
+TOKEN_SHOWN = 40  # characters of a bad term an error message repeats
 
 
 class _Refused(Exception):
@@ -219,18 +220,32 @@ def cmd_series(args) -> int:
     return 0
 
 
+def _bad_term(what: str, tok: str) -> ValueError:
+    """An error naming one term of a rational list, cut to TOKEN_SHOWN
+    characters, so a long argument is not echoed back whole."""
+    shown = repr(tok[:TOKEN_SHOWN]) + ("…" if len(tok) > TOKEN_SHOWN else "")
+    return ValueError(f"{what}: {shown}")
+
+
 def _parse_rationals(text: str) -> list[Fraction]:
     """Integers, fractions and decimals; exponent notation is refused, as
-    `Fraction` would build 10^k for any k it is given."""
+    `Fraction` would build 10^k for any k it is given.  An error names the
+    first bad term: an empty one, then one in exponent notation, then one
+    `Fraction` refuses."""
     toks = [t.strip() for t in text.split(",")]
-    if not text.strip() or any(not t for t in toks):
-        raise ValueError(f"malformed rational list: {text!r}")
-    if any("e" in t.lower() for t in toks):
-        raise ValueError(f"exponent notation is not accepted: {text!r}")
-    try:
-        return [Fraction(t) for t in toks]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational list: {text!r}") from exc
+    for t in toks:
+        if not t:
+            raise _bad_term("malformed rational list", t)
+    for t in toks:
+        if "e" in t.lower():
+            raise _bad_term("exponent notation is not accepted", t)
+    out = []
+    for t in toks:
+        try:
+            out.append(Fraction(t))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _bad_term("malformed rational list", t) from exc
+    return out
 
 
 def _digits(x: int) -> int:

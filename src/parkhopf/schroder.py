@@ -2,20 +2,22 @@
 
 Each class key is the pair (evaluation vector, recoil composition of the
 standardized word).  Sums over classes span a subalgebra on the F side
-and a quotient on the G side; products and coproducts are computed by
-expanding, operating, and regrouping, with the regrouping checked to be
-constant on classes.
+and a quotient on the G side.  The product of two class sums is read
+from their keys alone, by the two-term ribbon rule; the coproduct cuts
+every member of the class once and regroups the pairs of halves, checked
+to be constant on classes.  The quotient product multiplies
+representatives and projects to keys.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
-from .fbasis import f_comul, f_mul
 from .gbasis import g_mul
 from .linear import Lin, _build
-from .words import Word, evaluation, is_parking, parking_list
+from .words import Word, evaluation, is_parking, parking_list, parkize
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -159,19 +161,19 @@ def pq_expand(key: Key) -> Lin:
     return _build((a, 1) for a in class_members(key))
 
 
-def _class_size(key: Key) -> int:
+def class_size(key: Key) -> int:
     return len(class_members(key))
 
 
-def _regroup(x: Lin, key, size) -> Lin:
-    """Rewrite x over class keys: key(label) is the class of a label and
-    size(k) the number of labels in class k.
+def regroup(terms, key, size) -> Lin:
+    """Rewrite (label, coefficient) terms over class keys: key(label) is
+    the class of a label and size(k) the number of labels in class k.
 
     Requires the coefficients to be constant on every class met, with
     the whole class present.
     """
     buckets: dict = {}
-    for label, c in x.items():
+    for label, c in terms:
         buckets.setdefault(key(label), []).append(c)
     out = {}
     for k, coeffs in buckets.items():
@@ -181,16 +183,65 @@ def _regroup(x: Lin, key, size) -> Lin:
     return _build(out.items())
 
 
+def is_class_key(key: Key) -> bool:
+    """Whether some parking function has this key, read from the key alone.
+
+    The evaluation must park: its prefix sums reach their index.  Every
+    subset of the junctions between consecutive distinct letters occurs
+    as a recoil set, so the recoil composition must be a coarsening of the
+    nonzero multiplicities: its partial sums are among theirs.
+    """
+    ev, recoils = key
+    n = len(ev)
+    if sum(ev) != n or any(m < 0 for m in ev) or any(r < 1 for r in recoils):
+        return False
+    if any(s < i for i, s in enumerate(accumulate(ev), 1)):
+        return False
+    return (sum(recoils) == n
+            and set(accumulate(recoils)) <= set(accumulate(filter(None, ev))))
+
+
+def _check_key(key: Key) -> Key:
+    if not is_class_key(key):
+        raise ValueError(f"empty class: {key}")
+    return key
+
+
 def pq_product(k1: Key, k2: Key) -> Lin:
-    """Product of class sums, regrouped into class sums."""
-    return _regroup(f_mul(pq_expand(k1), pq_expand(k2)), hypo_key, _class_size)
+    """Product of class sums, from the two keys alone.
+
+    A word of the shifted shuffle of a and b keeps the relative order
+    inside a and inside b, so only the junction between the largest
+    letter of a and the smallest of b can change the recoil set: the last
+    part of r1 and the first part of r2 stay apart or merge, and both
+    occur.  A word of either class gives back its unique pair (a, b) as
+    its letters up to deg(k1) and the rest, so each class sum appears
+    once: the ribbon rule R_I R_J = R_{I·J} + R_{I▷J} of NSym.
+    """
+    (e1, r1), (e2, r2) = _check_key(k1), _check_key(k2)
+    ev = e1 + e2
+    if not r1 or not r2:
+        return Lin.basis((ev, r1 + r2))
+    merged = r1[:-1] + (r1[-1] + r2[0],) + r2[1:]
+    return _build((((ev, r1 + r2), 1), ((ev, merged), 1)))
 
 
 def pq_coproduct(key: Key) -> Lin:
-    """Coproduct of a class sum, regrouped into pairs of class sums."""
-    return _regroup(f_comul(pq_expand(key)),
-                    lambda uv: (hypo_key(uv[0]), hypo_key(uv[1])),
-                    lambda kk: _class_size(kk[0]) * _class_size(kk[1]))
+    """Coproduct of a class sum, regrouped into pairs of class sums.
+
+    One pass over the cuts of every member counts the pairs of parkized
+    halves; each distinct slice is parkized, and each distinct half
+    keyed, once per call.  The members park by construction.
+    """
+    park, half = cache(parkize), cache(hypo_key)  # memos of this call only
+    counts: dict = {}
+    get = counts.get
+    for a in class_members(key):
+        for k in range(len(a) + 1):
+            pair = park(a[:k]), park(a[k:])
+            counts[pair] = get(pair, 0) + 1
+    return regroup(counts.items(), lambda uv: (half(uv[0]), half(uv[1])),
+                   lambda kk: class_size(kk[0]) * class_size(kk[1]))
 
 
 def qq_product(k1: Key, k2: Key, rep1: Word | None = None, rep2: Word | None = None) -> Lin:

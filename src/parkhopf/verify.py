@@ -932,12 +932,26 @@ def report_g_routes(d: int) -> tuple[bool, str]:
     return True, "; ".join(lines)
 
 
+def pq_product_by_regroup(k1, k2) -> Lin:
+    """The class product as the subalgebra states it: expand both class
+    sums to F words, multiply, and regroup into class sums, which raises
+    unless the product is constant on every class it meets."""
+    return schroder.regroup(
+        fbasis.f_mul(schroder.pq_expand(k1), schroder.pq_expand(k2)).items(),
+        schroder.hypo_key, schroder.class_size)
+
+
 def check_schroder_closure(d: int) -> tuple[bool, str]:
+    """Class sums are closed under the F product and coproduct, and the
+    product regrouped from F words is the two-term key rule of
+    `pq_product`."""
     for k1, k2 in _pairs("Pq", d):
         try:
-            schroder.pq_product(k1, k2)
+            want = pq_product_by_regroup(k1, k2)
         except ValueError as exc:
             return _fail(f"class product not closed at {k1},{k2}: {exc}")
+        if schroder.pq_product(k1, k2) != want:
+            return _fail(f"class product differs from the key rule at {k1},{k2}")
     for key in _upto("Pq", d):
         try:
             t = schroder.pq_coproduct(key)
@@ -1017,7 +1031,8 @@ def check_matrix_parkize(d: int) -> tuple[bool, str]:
 
 
 def check_word_matrices(d: int) -> tuple[bool, str]:
-    for a in _upto("F", d + 1):
+    # degree d + 1 is streamed rather than listed, so no table of it is kept
+    for a in chain(_upto("F", d), words.parking_functions(d + 1)):
         for m in matrices.word_matrices(a):
             if matrices.reading(m) != a:
                 return _fail(f"matrix of {a} reads back differently")

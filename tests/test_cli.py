@@ -43,7 +43,7 @@ def test_readme_command_block(capsys, monkeypatch):
     # or its head and "(k terms)"; the verify line is left to test_verify_*
     monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
     commands = list(_readme_commands())
-    assert len(commands) == 13 and commands[-1][0][0] == "verify"
+    assert len(commands) == 14 and commands[-1][0][0] == "verify"
     for argv, comment in commands[:-1]:
         code, out, _ = run(capsys, *argv)
         out = out.strip()
@@ -468,8 +468,9 @@ def test_cumulants_refuse_exponent_notation(text):
     # 1e100000000 would build a 10^8-digit integer before any bound
     proc = _run_cli("cumulants", "--moments", text, timeout=10)
     assert proc.returncode == 3 and proc.stdout == b""
+    bad = next(t for t in text.split(",") if "e" in t.lower())
     assert proc.stderr.decode() == (
-        f"parkhopf: exponent notation is not accepted: {text!r}\n")
+        f"parkhopf: exponent notation is not accepted: {bad!r}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -545,6 +546,21 @@ def test_cumulants_numeral_past_the_interpreter_limit_is_malformed(capsys):
     code, out, err = run(capsys, "cumulants", "--moments=2," + "1" * 4301)
     assert code == 3 and out == ""
     assert err.startswith("parkhopf: malformed rational list: ")
+
+
+@pytest.mark.parametrize("text, prefix", [
+    ("1" * 5000, "malformed rational list"),
+    ("1,2,x" + "1" * 5000, "malformed rational list"),
+    ("1," + "2" * 5000 + "e1", "exponent notation is not accepted")],
+    ids=["numeral", "letter", "exponent"])
+def test_cumulants_error_names_the_bad_term_cut_short(capsys, text, prefix):
+    # the message repeats at most TOKEN_SHOWN characters of the bad term,
+    # not the whole argument
+    code, out, err = run(capsys, "cumulants", f"--moments={text}")
+    shown = repr(max(text.split(","), key=len)[:cli.TOKEN_SHOWN])
+    assert code == 3 and out == ""
+    assert err == f"parkhopf: {prefix}: {shown}…\n"
+    assert len(err) < 100
 
 
 def test_verify_passing_suites(capsys):

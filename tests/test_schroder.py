@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from parkhopf import schroder, verify, words
-from parkhopf.linear import Lin
+from parkhopf import fbasis, schroder, verify, words
+from parkhopf.linear import Lin, tensor
 
 
 def w(s):
@@ -163,3 +164,74 @@ def test_qq_product_projects_convolution():
 
 def test_key_degree():
     assert schroder.key_degree(schroder.hypo_key(w("1124"))) == 4
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_is_class_key_accepts_exactly_the_table_keys(n):
+    # candidates: every evaluation vector of length n summing to n, with
+    # every composition of n as its recoil composition
+    table = set(schroder.classes(n))
+    candidates = [(ev, r) for ev in product(range(n + 1), repeat=n)
+                  if sum(ev) == n for r in words.compositions(n)]
+    assert table <= set(candidates)
+    assert {k for k in candidates if schroder.is_class_key(k)} == table
+
+
+@pytest.mark.parametrize("key", [
+    ((2, -1, 2), (3,)), ((1, 1), (1, 0, 1)), ((1, 1), ()), ((1,), (1, 1)),
+    ((2,), (2,)), ((0, 2), (2,)), ((2, 0), (1, 1))])
+def test_pq_product_refuses_a_key_no_word_has(key):
+    one = schroder.hypo_key((1,))
+    for k1, k2 in ((key, one), (one, key)):
+        with pytest.raises(ValueError, match="empty class"):
+            schroder.pq_product(k1, k2)
+
+
+def _keys_upto(top):
+    return {n: list(schroder.classes(n)) for n in range(top + 1)}
+
+
+def test_pq_product_key_rule_matches_the_regrouped_f_product():
+    # every key pair of degree sum <= 6, the unit key included
+    keys = _keys_upto(6)
+    pairs = 0
+    for na, nb in product(range(7), repeat=2):
+        if na + nb > 6:
+            continue
+        for k1, k2 in product(keys[na], keys[nb]):
+            assert schroder.pq_product(k1, k2) == \
+                verify.pq_product_by_regroup(k1, k2), (k1, k2)
+            pairs += 1
+    assert pairs == 3300
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_pq_coproduct_splits_back_to_the_f_coproduct(n):
+    for key in schroder.classes(n):
+        got = Lin()
+        for (u, v), c in schroder.pq_coproduct(key).items():
+            got += tensor(schroder.pq_expand(u), schroder.pq_expand(v)).scale(c)
+        assert got == fbasis.f_comul(schroder.pq_expand(key)), key
+
+
+def test_pq_coproduct_raises_on_a_class_with_a_member_missing(monkeypatch):
+    key = schroder.hypo_key(w("2131"))
+    members = schroder.class_members(key)
+    assert len(members) > 2
+    real = schroder.class_members
+    monkeypatch.setattr(schroder, "class_members",
+                        lambda k: real(k)[1:] if k == key else real(k))
+    with pytest.raises(ValueError, match="not constant on class"):
+        schroder.pq_coproduct(key)
+
+
+def test_closure_check_fails_on_a_product_missing_a_term(monkeypatch):
+    real = schroder.pq_product
+
+    def dropped(k1, k2):
+        terms = list(real(k1, k2).items())
+        return Lin(dict(terms[1:]))
+
+    monkeypatch.setattr(schroder, "pq_product", dropped)
+    ok, detail = verify.check_schroder_closure(3)
+    assert not ok and "differs from the key rule" in detail
