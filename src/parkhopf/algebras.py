@@ -105,11 +105,14 @@ def _catalan_labels(n: int) -> list:
     return list(words.nondecreasing_parking_functions(n))
 
 
-_classes = _late("schroder", "classes")
-
-
 def _class_labels(n: int) -> list:
-    return sorted(_classes(n))
+    """Class keys: each nondecreasing parking function's evaluation with
+    each coarsening of its nonzero multiplicities as recoil composition."""
+    keys = []
+    for a in words.nondecreasing_parking_functions(n):
+        ev = words.evaluation(a, n)
+        keys.extend((ev, r) for r in words.coarsenings(tuple(filter(None, ev))))
+    return sorted(keys)
 
 
 # basis -> the sorted labels of degree n; degree 0 gives the unit label

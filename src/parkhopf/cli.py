@@ -175,8 +175,9 @@ def cmd_op(args) -> int:
         if op is None:
             raise ValueError(f"{noun} not available in basis {args.basis}")
         if args.basis in ("Pq", "Q"):
-            # operating on or rendering a class builds its degree's whole
-            # class table, so the output degree gets the enumeration bound
+            # a class is walked from its key, members and cuts, and a Q
+            # product multiplies representatives: the output degree keeps
+            # the enumeration bound until a budget by output size replaces it
             from . import schroder
             degree = sum(map(schroder.key_degree, labels))
             bound = _bound(ENUM_BOUND)

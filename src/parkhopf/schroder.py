@@ -2,22 +2,28 @@
 
 Each class key is the pair (evaluation vector, recoil composition of the
 standardized word).  Sums over classes span a subalgebra on the F side
-and a quotient on the G side.  The product of two class sums is read
-from their keys alone, by the two-term ribbon rule; the coproduct cuts
-every member of the class once and regroups the pairs of halves, checked
-to be constant on classes.  The quotient product multiplies
-representatives and projects to keys.
+and a quotient on the G side.  Every production operation reads the key
+alone.  The product of two class sums is the two-term ribbon rule.  The
+members of a class are the rearrangements of its nondecreasing word with
+its recoil composition, made by one walk per shape (nonzero
+multiplicities, recoil composition); the same walk counts the cuts of
+the members, from which the coproduct is read, and a class's size is an
+inclusion–exclusion over its recoil composition.  The quotient product
+multiplies representatives and projects to keys.  `classes(n)`, the
+grouping of all degree-n parking functions by key, is the reference the
+checks compare with.
 """
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
+from math import factorial, prod
+from operator import itemgetter, sub
 
 from .gbasis import g_mul
 from .linear import Lin, _build
-from .words import Word, evaluation, is_parking, parking_list, parkize
+from .words import Word, coarsenings, evaluation, is_parking, parking_list
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -45,9 +51,15 @@ def hypo_key(w: Word) -> Key:
             first[x - 1] = i
         ev[x - 1] += 1
         last[x - 1] = i
+    return tuple(ev), _recoil_composition(ev, first, last)
+
+
+def _recoil_composition(count, first, last) -> tuple[int, ...]:
+    """Recoil composition of a word from each letter's count and first
+    and last position (any values where the count is 0), as in `hypo_key`."""
     recoils = []
     run = end = 0  # current recoil part; last position of the previous value
-    for m, lo, hi in zip(ev, first, last):
+    for m, lo, hi in zip(count, first, last):
         if m:
             if lo < end:
                 recoils.append(run)
@@ -56,7 +68,7 @@ def hypo_key(w: Word) -> Key:
             end = hi
     if run:
         recoils.append(run)
-    return tuple(ev), tuple(recoils)
+    return tuple(recoils)
 
 
 def key_of_word(a: Word) -> Key:
@@ -146,14 +158,17 @@ def schroder_dim(n: int) -> int:
 
 
 def class_members(key: Key) -> tuple[Word, ...]:
-    members = classes(key_degree(key)).get(key)
-    if members is None:
-        raise ValueError(f"empty class: {key}")
-    return members
+    """The members of a class, in lexicographic order: the patterns of
+    its shape written in the key's letters."""
+    letters, m = _shape(key)
+    get = letters.__getitem__
+    return tuple(tuple(map(get, p)) for p in _class_walk(m, key[1])[0])
 
 
 def representative(key: Key) -> Word:
-    return class_members(key)[0]
+    """The lexicographically first member of a class."""
+    letters, m = _shape(key)
+    return tuple(map(letters.__getitem__, _class_walk(m, key[1])[0][0]))
 
 
 def pq_expand(key: Key) -> Lin:
@@ -162,25 +177,9 @@ def pq_expand(key: Key) -> Lin:
 
 
 def class_size(key: Key) -> int:
-    return len(class_members(key))
-
-
-def regroup(terms, key, size) -> Lin:
-    """Rewrite (label, coefficient) terms over class keys: key(label) is
-    the class of a label and size(k) the number of labels in class k.
-
-    Requires the coefficients to be constant on every class met, with
-    the whole class present.
-    """
-    buckets: dict = {}
-    for label, c in terms:
-        buckets.setdefault(key(label), []).append(c)
-    out = {}
-    for k, coeffs in buckets.items():
-        if len(coeffs) != size(k) or len(set(coeffs)) != 1:
-            raise ValueError(f"not constant on class {k}")
-        out[k] = coeffs[0]
-    return _build(out.items())
+    """The number of members of a class, read from its recoil composition."""
+    _check_key(key)
+    return _recoil_class_size(key[1])
 
 
 def is_class_key(key: Key) -> bool:
@@ -226,22 +225,148 @@ def pq_product(k1: Key, k2: Key) -> Lin:
     return _build((((ev, r1 + r2), 1), ((ev, merged), 1)))
 
 
+def _shape(key: Key) -> tuple[list[int], tuple[int, ...]]:
+    """The distinct letters of a class and their multiplicities."""
+    ev, _ = _check_key(key)
+    return [v for v, m in enumerate(ev, 1) if m], tuple(filter(None, ev))
+
+
+@lru_cache(maxsize=None)
+def _class_walk(m: tuple[int, ...], recoils: tuple[int, ...]) -> tuple:
+    """Patterns and cut counts of the classes of one shape.
+
+    The patterns are the rearrangements of 0^m1 1^m2 ... (k-1)^mk with
+    recoil composition `recoils`, in lexicographic order: the depth-first
+    walk of `_recoil_pickers`, pruned so that the first copy of a letter j
+    is placed only when its recoil bit (some j - 1 still unplaced) is the
+    one `recoils` asks for, and the last copy of j not while j + 1 still
+    waits for a recoil.  The n + 1 cuts of every pattern are counted by
+    prefix content, then by the pair (prefix recoil composition, suffix
+    recoil composition).  It returns the patterns, as bytes of letter
+    indices, and the counts, as a tuple of (content, ((r1, r2, count), ...))
+    with each composition held once.  Each node of the walk works out its
+    prefix once; suffixes are worked out per pattern, right to left.
+    """
+    k, n = len(m), sum(m)
+    starts = set(accumulate(recoils))
+    recoil_at = [False] + [s in starts for s in accumulate(m[:-1])]
+    count, first, last = [0] * k, [0] * k, [0] * k  # of the placed prefix
+    word: list[int] = []
+    prefixes = [((0,) * k, ())]  # (content, recoil composition) by length
+    patterns: list[bytes] = []
+    table: dict = {}
+
+    def fold() -> None:
+        p = bytes(word)
+        patterns.append(p)
+        sc, sf, sl = [0] * k, [0] * k, [0] * k  # of the suffix p[t:]
+        suffixes = [()] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            x = p[t]
+            if not sc[x]:
+                sl[x] = t
+            sc[x] += 1
+            sf[x] = t
+            suffixes[t] = _recoil_composition(sc, sf, sl)
+        for (c, r1), r2 in zip(prefixes, suffixes):
+            row = table.get(c)
+            if row is None:
+                row = table[c] = {}
+            row[r1, r2] = row.get((r1, r2), 0) + 1
+
+    def place(t: int) -> None:
+        if t == n:
+            fold()
+            return
+        for j, mj in enumerate(m):
+            cj = count[j]
+            if cj == mj:
+                continue
+            if not cj and j and recoil_at[j] != (count[j - 1] < m[j - 1]):
+                continue
+            if (cj == mj - 1 and j + 1 < k and recoil_at[j + 1]
+                    and not count[j + 1]):
+                continue
+            if not cj:
+                first[j] = t
+            count[j] = cj + 1
+            held, last[j] = last[j], t
+            word.append(j)
+            prefixes.append((tuple(count), _recoil_composition(count, first, last)))
+            place(t + 1)
+            prefixes.pop()
+            word.pop()
+            last[j] = held
+            count[j] = cj
+
+    place(0)
+    same: dict = {}  # one object per composition
+    return tuple(patterns), tuple(
+        (c, tuple((same.setdefault(r1, r1), same.setdefault(r2, r2), total)
+                  for (r1, r2), total in row.items()))
+        for c, row in table.items())
+
+
+@lru_cache(maxsize=None)
+def _recoil_class_size(recoils: tuple[int, ...]) -> int:
+    """Size of every class with this recoil composition R, whatever its
+    evaluation.
+
+    A rearrangement has its recoil set inside a set T of junctions exactly
+    when the letters of each T-block come sorted, and n!/prod(block sums)!
+    rearrangements do.  Each T inside R's recoil set has the block sums of
+    one coarsening of R, and inclusion–exclusion over them, with the sign
+    pattern of `symfun.ribbon_h`, keeps the recoil set R exactly.
+    """
+    n = sum(recoils)
+    return sum((-1) ** (len(recoils) - len(t)) * factorial(n)
+               // prod(map(factorial, t)) for t in coarsenings(recoils))
+
+
+def _parkized_evaluation(letters, counts) -> tuple[int, ...]:
+    """Evaluation of the parkized word holding counts[j] copies of each of
+    the increasing letters[j], by the rule of `words.parkize`:
+    new(v) = min(new(prev) + v - prev, i) on the distinct letters."""
+    ev = [0] * sum(counts)
+    prev = cur = 0
+    i = 1  # one more than the letters below v
+    for v, c in zip(letters, counts):
+        if c:
+            cur = min(cur + v - prev, i)
+            ev[cur - 1] = c
+            prev = v
+            i += c
+    return tuple(ev)
+
+
 def pq_coproduct(key: Key) -> Lin:
     """Coproduct of a class sum, regrouped into pairs of class sums.
 
-    One pass over the cuts of every member counts the pairs of parkized
-    halves; each distinct slice is parkized, and each distinct half
-    keyed, once per call.  The members park by construction.
+    Parkization relabels a word's letters in order, so a cut of a member
+    parkizes to the halves whose keys are the parkized evaluations of the
+    prefix and suffix contents with the recoil compositions of the two
+    halves of the pattern: the cut counts of the class's walk, summed by
+    key pair.  Each pair of classes (K1, K2) then has every one of its
+    |K1|·|K2| word pairs c times, and c is the coefficient; a total that
+    |K1|·|K2| does not divide raises.
     """
-    park, half = cache(parkize), cache(hypo_key)  # memos of this call only
-    counts: dict = {}
-    get = counts.get
-    for a in class_members(key):
-        for k in range(len(a) + 1):
-            pair = park(a[:k]), park(a[k:])
-            counts[pair] = get(pair, 0) + 1
-    return regroup(counts.items(), lambda uv: (half(uv[0]), half(uv[1])),
-                   lambda kk: class_size(kk[0]) * class_size(kk[1]))
+    letters, m = _shape(key)
+    totals: dict = {}
+    get = totals.get
+    for c, row in _class_walk(m, key[1])[1]:
+        e1 = _parkized_evaluation(letters, c)
+        e2 = _parkized_evaluation(letters, tuple(map(sub, m, c)))
+        for r1, r2, count in row:
+            pair = (e1, r1), (e2, r2)
+            totals[pair] = get(pair, 0) + count
+    terms = []
+    for pair, total in totals.items():
+        coeff, rest = divmod(total, _recoil_class_size(pair[0][1])
+                             * _recoil_class_size(pair[1][1]))
+        if rest:
+            raise ValueError(f"not constant on class {pair}")
+        terms.append((pair, coeff))
+    return _build(terms)
 
 
 def qq_product(k1: Key, k2: Key, rep1: Word | None = None, rep2: Word | None = None) -> Lin:

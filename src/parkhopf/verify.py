@@ -932,19 +932,48 @@ def report_g_routes(d: int) -> tuple[bool, str]:
     return True, "; ".join(lines)
 
 
+def _regroup(terms, key, size) -> Lin:
+    """Rewrite (label, coefficient) terms over class keys: key(label) is
+    the class of a label and size(k) the number of labels in class k.
+
+    Requires the coefficients to be constant on every class met, with
+    the whole class present.
+    """
+    buckets: dict = {}
+    for label, c in terms:
+        buckets.setdefault(key(label), []).append(c)
+    out = {}
+    for k, coeffs in buckets.items():
+        if len(coeffs) != size(k) or len(set(coeffs)) != 1:
+            raise ValueError(f"not constant on class {k}")
+        out[k] = coeffs[0]
+    return _build(out.items())
+
+
 def pq_product_by_regroup(k1, k2) -> Lin:
     """The class product as the subalgebra states it: expand both class
     sums to F words, multiply, and regroup into class sums, which raises
     unless the product is constant on every class it meets."""
-    return schroder.regroup(
+    return _regroup(
         fbasis.f_mul(schroder.pq_expand(k1), schroder.pq_expand(k2)).items(),
         schroder.hypo_key, schroder.class_size)
 
 
+def pq_coproduct_by_regroup(key) -> Lin:
+    """The class coproduct as the subalgebra states it: expand the class
+    sum to F words, cut, and regroup the pairs of halves into pairs of
+    class sums, which raises unless the coproduct is constant on every
+    class pair it meets."""
+    return _regroup(
+        fbasis.f_comul(schroder.pq_expand(key)).items(),
+        lambda uv: (schroder.hypo_key(uv[0]), schroder.hypo_key(uv[1])),
+        lambda kk: schroder.class_size(kk[0]) * schroder.class_size(kk[1]))
+
+
 def check_schroder_closure(d: int) -> tuple[bool, str]:
     """Class sums are closed under the F product and coproduct, and the
-    product regrouped from F words is the two-term key rule of
-    `pq_product`."""
+    routes regrouped from F words are the key rules of `pq_product` and
+    `pq_coproduct`."""
     for k1, k2 in _pairs("Pq", d):
         try:
             want = pq_product_by_regroup(k1, k2)
@@ -954,12 +983,11 @@ def check_schroder_closure(d: int) -> tuple[bool, str]:
             return _fail(f"class product differs from the key rule at {k1},{k2}")
     for key in _upto("Pq", d):
         try:
-            t = schroder.pq_coproduct(key)
+            want = pq_coproduct_by_regroup(key)
         except ValueError as exc:
             return _fail(f"class coproduct not closed at {key}: {exc}")
-        for _, c in t.items():
-            if c != int(c) or c < 0:
-                return _fail(f"class coproduct of {key} not nonnegative")
+        if schroder.pq_coproduct(key) != want:
+            return _fail(f"class coproduct differs from the key rule at {key}")
     return OK
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from parkhopf import algebras, catalan, cli, fbasis, gbasis, verify, words
+from parkhopf import (algebras, catalan, cli, fbasis, gbasis, schroder, verify,
+                      words)
 from parkhopf.cli import main
 from parkhopf.jsonio import render_word
 from parkhopf.linear import Lin
@@ -43,7 +44,7 @@ def test_readme_command_block(capsys, monkeypatch):
     # or its head and "(k terms)"; the verify line is left to test_verify_*
     monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
     commands = list(_readme_commands())
-    assert len(commands) == 14 and commands[-1][0][0] == "verify"
+    assert len(commands) == 15 and commands[-1][0][0] == "verify"
     for argv, comment in commands[:-1]:
         code, out, _ = run(capsys, *argv)
         out = out.strip()
@@ -380,6 +381,31 @@ def test_class_bound_is_raised_by_the_override(capsys, monkeypatch):
     assert out.strip() == "Q_1133 + Q_1313 + Q_1122 + Q_1212 + Q_1111"
     code, out, _ = run(capsys, "comul", "--basis", "Pq", "1211")
     assert code == 0 and out.startswith("1 (x) Pq_1121 + ")
+
+
+def test_class_routes_enumerate_no_degree(capsys, monkeypatch):
+    # Pq and Q products, coproducts, renderings and labels are read from
+    # the class keys: no route lists a degree's parking functions or
+    # groups them into its class table
+    def refuse(*args):
+        raise AssertionError(f"enumerated a whole degree: {args}")
+
+    schroder._class_walk.cache_clear()
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("parkhopf")
+                and getattr(mod, "parking_list", None) is words.parking_list):
+            monkeypatch.setattr(mod, "parking_list", refuse)
+    monkeypatch.setattr(schroder, "classes", refuse)
+    calls = [("mul", "Pq", "1211", "2131"), ("mul", "Pq", "1", "2314151"),
+             ("mul", "Q", "1211", "2131"), ("mul", "Q", "21", "132411"),
+             ("comul", "Pq", "21436587"), ("comul", "Pq", "12345678"),
+             ("comul", "Pq", "1211")]
+    for command, basis, *labels in calls:
+        for fmt in ([], ["--format", "json"]):
+            code, out, err = run(capsys, command, "--basis", basis, *labels, *fmt)
+            assert code == 0 and out and not err, (command, basis, labels)
+    for n in range(8):
+        assert len(algebras.LABELS["Pq"](n)) == words.schroder_count(n)
 
 
 def test_series_outputs(capsys):

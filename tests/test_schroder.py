@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from parkhopf import fbasis, schroder, verify, words
+from parkhopf.algebras import LABELS
 from parkhopf.linear import Lin, tensor
 
 
@@ -214,7 +215,7 @@ def test_pq_coproduct_splits_back_to_the_f_coproduct(n):
         assert got == fbasis.f_comul(schroder.pq_expand(key)), key
 
 
-def test_pq_coproduct_raises_on_a_class_with_a_member_missing(monkeypatch):
+def test_pq_coproduct_by_regroup_raises_on_a_class_with_a_member_missing(monkeypatch):
     key = schroder.hypo_key(w("2131"))
     members = schroder.class_members(key)
     assert len(members) > 2
@@ -222,7 +223,57 @@ def test_pq_coproduct_raises_on_a_class_with_a_member_missing(monkeypatch):
     monkeypatch.setattr(schroder, "class_members",
                         lambda k: real(k)[1:] if k == key else real(k))
     with pytest.raises(ValueError, match="not constant on class"):
+        verify.pq_coproduct_by_regroup(key)
+
+
+def test_pq_coproduct_raises_when_a_class_pair_count_is_not_divisible(monkeypatch):
+    # a cut table with one count too many cannot be a whole number of
+    # copies of every class pair
+    key = schroder.hypo_key(w("2131"))
+    real = schroder._class_walk
+
+    def extra(m, recoils):
+        patterns, cuts = real(m, recoils)
+        (c, ((r1, r2, n), *row)), *rest = cuts
+        return patterns, ((c, ((r1, r2, n + 1), *row)), *rest)
+
+    monkeypatch.setattr(schroder, "_class_walk", extra)
+    with pytest.raises(ValueError, match="not constant on class"):
         schroder.pq_coproduct(key)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_class_members_sizes_and_labels_match_the_class_table(n):
+    # the table groups every parking function of degree n by hypo_key
+    table = schroder.classes(n)
+    assert LABELS["Pq"](n) == LABELS["Q"](n) == sorted(table)
+    for key, members in table.items():
+        assert schroder.class_members(key) == members, key
+        assert schroder.representative(key) == members[0], key
+        assert schroder.class_size(key) == len(members), key
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pq_coproduct_matches_the_regrouped_f_coproduct(n):
+    for key in schroder.classes(n):
+        assert schroder.pq_coproduct(key) == \
+            verify.pq_coproduct_by_regroup(key), key
+
+
+def test_pq_coproduct_matches_the_regrouped_f_coproduct_at_degree_7():
+    keys = random.Random(7).sample(list(schroder.classes(7)), 150)
+    for key in keys:
+        assert schroder.pq_coproduct(key) == \
+            verify.pq_coproduct_by_regroup(key), key
+
+
+@pytest.mark.parametrize("key", [((2,), (2,)), ((1, 1), (1, 0, 1)),
+                                 ((0, 2), (2,)), ((2, 0), (1, 1))])
+def test_key_routes_refuse_a_key_no_word_has(key):
+    for route in (schroder.class_members, schroder.representative,
+                  schroder.class_size, schroder.pq_coproduct):
+        with pytest.raises(ValueError, match="empty class"):
+            route(key)
 
 
 def test_closure_check_fails_on_a_product_missing_a_term(monkeypatch):
@@ -235,3 +286,24 @@ def test_closure_check_fails_on_a_product_missing_a_term(monkeypatch):
     monkeypatch.setattr(schroder, "pq_product", dropped)
     ok, detail = verify.check_schroder_closure(3)
     assert not ok and "differs from the key rule" in detail
+
+
+def _corrupt_coproduct(monkeypatch, change):
+    real = schroder.pq_coproduct
+
+    def corrupted(key):
+        terms = list(real(key).items())
+        return Lin(dict(change(terms) if len(terms) > 2 else terms))
+
+    monkeypatch.setattr(schroder, "pq_coproduct", corrupted)
+    ok, detail = verify.check_schroder_closure(3)
+    assert not ok and "class coproduct differs from the key rule" in detail
+
+
+def test_closure_check_fails_on_a_coproduct_missing_a_term(monkeypatch):
+    _corrupt_coproduct(monkeypatch, lambda terms: terms[1:])
+
+
+def test_closure_check_fails_on_a_coproduct_with_a_doubled_coefficient(monkeypatch):
+    _corrupt_coproduct(
+        monkeypatch, lambda terms: [(terms[0][0], 2 * terms[0][1])] + terms[1:])
