@@ -390,7 +390,7 @@ def test_class_routes_enumerate_no_degree(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"enumerated a whole degree: {args}")
 
-    schroder._class_walk.cache_clear()
+    schroder._class_walk.cache_clear()  # each walk runs under the patches
     for mod in list(sys.modules.values()):
         if (getattr(mod, "__name__", "").startswith("parkhopf")
                 and getattr(mod, "parking_list", None) is words.parking_list):
