@@ -7,6 +7,7 @@ parkization.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import itemgetter
 
@@ -28,11 +29,17 @@ def ones(m: Matrix) -> int:
     return sum(sum(row) for row in m)
 
 
+@lru_cache(maxsize=None)
+def _reading_labels(cols: int, rows: int) -> Word:
+    # the column index of every entry in row-major order
+    return tuple(range(1, cols + 1)) * rows
+
+
 def reading(m: Matrix) -> Word:
     """Row-major list of column indices of the ones."""
     if not m:
         return ()
-    return tuple(compress(tuple(range(1, len(m[0]) + 1)) * len(m),
+    return tuple(compress(_reading_labels(len(m[0]), len(m)),
                           chain.from_iterable(m)))
 
 
@@ -53,7 +60,10 @@ def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:
     back to a.
 
     Rows are consecutive strictly increasing blocks: cuts are forced at
-    every non-ascent and free at every ascent.
+    every non-ascent and free at every ascent.  Of two first blocks the
+    shorter row sorts first (it lacks the longer one's next letter and
+    agrees before it), so listing each suffix's matrices by first block
+    length, suffixes first, yields them in sorted order.
     """
     a = tuple(a)
     n = len(a)
@@ -64,21 +74,19 @@ def word_matrices(a: Word, width: int | None = None) -> list[Matrix]:
         raise ValueError(f"letters of a word are positive, got {a}")
     if max(a) > cols:
         return []
-    # the row of every block a[lo:hi] that can occur, built once
-    block = {}
-    for lo in range(n):
+    # tails[lo]: the matrices of a[lo:], sorted
+    tails = [None] * n + [[()]]
+    for lo in range(n - 1, -1, -1):
         row = [0] * cols
+        out = []
         for hi in range(lo + 1, n + 1):
             row[a[hi - 1] - 1] = 1
-            block[lo, hi] = tuple(row)
+            head = (tuple(row),)
+            out += [head + rest for rest in tails[hi]]
             if hi == n or a[hi - 1] >= a[hi]:
                 break
-    # (rows closed so far, start of the open block) for each cut set
-    partial = [((), 0)]
-    for i in range(1, n):
-        cut = [(rows + (block[lo, i],), i) for rows, lo in partial]
-        partial = partial + cut if a[i - 1] < a[i] else cut
-    return sorted(rows + (block[lo, n],) for rows, lo in partial)
+        tails[lo] = out
+    return tails[0]
 
 
 def word_class(a: Word) -> Lin:
@@ -108,43 +116,51 @@ def augmented_shuffle(p: Matrix, q: Matrix) -> list[Matrix]:
     return sorted(out)
 
 
+@lru_cache(maxsize=None)
+def _column_plan(sums: tuple[int, ...]):
+    """What `matrix_parkize` does to a matrix with these column sums:
+    None for a fixed point, else a getter mapping each row to its new row.
+
+    A nonzero column j with `below` ones to its left keeps its gap to the
+    previous nonzero column unless that would lift it above below + 1.
+    Every new column with no source, inside a kept gap or trailing, reads
+    a zero column of the gap or the tail it stands for.
+    """
+    pick = []  # old column (0-based) of each new one
+    below = prev = cur = 0  # ones so far; last nonzero column, its new label
+    for j, ones_here in enumerate(sums, start=1):
+        if ones_here:
+            cur += j - prev
+            if cur > below + 1:
+                cur = below + 1
+            pick += range(prev, prev + cur - 1 - len(pick))
+            pick.append(j - 1)
+            prev = j
+            below += ones_here
+    if cur == prev and len(sums) <= below:
+        return None
+    pick += range(prev, prev + min(len(sums) - prev + cur, below) - cur)
+    if len(pick) > 1:
+        return itemgetter(*pick)
+    return itemgetter(slice(pick[0], pick[0] + 1) if pick else slice(0))
+
+
 def matrix_parkize(m: Matrix) -> Matrix:
     """Relabel the columns by the parkization of the reading and trim
     trailing zero columns so the width is at most the number of ones;
     fixed points (reading parks, width <= ones) come back as they are.
 
-    Parkization sees only the multiset of the reading's letters, so one
-    pass over the column sums relabels, as `words.parkize` does on the
-    sorted reading: a nonzero column j with `below` ones to its left keeps
-    its gap to the previous nonzero column unless that would lift it above
-    below + 1.  A label never moves up and its drop never shrinks, so the
-    reading parks exactly when the last nonzero column keeps its label.
+    Parkization sees only the multiset of the reading's letters, so the
+    column sums decide the relabelling, as `words.parkize` does on the
+    sorted reading (see `_column_plan`).  A label never moves up and its
+    drop never shrinks, so the reading parks exactly when the last
+    nonzero column keeps its label.
     """
     m = _normalize(m)
-    pick = []  # old column (0-based) of each new one; -1 for a zero column
-    below = prev = cur = 0  # ones so far; last nonzero column, its new label
-    for j, ones_here in enumerate(map(sum, zip(*m)), start=1):
-        if ones_here:
-            cur += j - prev
-            if cur > below + 1:
-                cur = below + 1
-            if len(pick) < cur - 1:  # a zero column inside a kept gap
-                pick += [-1] * (cur - 1 - len(pick))
-            pick.append(j - 1)
-            prev = j
-            below += ones_here
-    cols = width(m)
-    if cur == prev and cols <= below:
+    plan = _column_plan(tuple(map(sum, zip(*m))))
+    if plan is None:
         return m
-    pick += [-1] * (min(cols - prev + cur, below) - cur)
-    if not pick:
-        return ((),) * len(m)
-    if -1 in pick:  # a new column with no source reads the appended zero
-        m = tuple(row + (0,) for row in m)
-    if len(pick) == 1:
-        j = pick[0]
-        return tuple((row[j],) for row in m)
-    return tuple(map(itemgetter(*pick), m))
+    return tuple(map(plan, m))
 
 
 def mp_product(p: Matrix, q: Matrix) -> Lin:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, combinations, permutations, product
 from math import prod
-from operator import add
+from operator import add, itemgetter, sub
 
 from . import catalan, cli, fbasis, gbasis, matrices, schroder, symfun, words
 from .algebras import ANTIPODE, COMUL, LABELS, MUL, SUITES
@@ -551,6 +551,12 @@ def check_nc_roundtrip(d: int) -> tuple[bool, str]:
 
 
 def check_prime_characterizations(d: int) -> tuple[bool, str]:
+    """Three characterizations of prime parking functions: a parking word
+    of length 2..d is prime exactly when no shifted shuffle of two shorter
+    ones makes it; a sorted word of length <= d + 3 is prime exactly when
+    it is connected; and the type of every parking word of length <= d + 2
+    equals its breakpoint gaps.  So it forms words of degree d + 2 and
+    sorted labels of degree d + 3."""
     for n in range(2, d + 1):
         shuffled = set()
         for k in range(1, n):
@@ -567,7 +573,7 @@ def check_prime_characterizations(d: int) -> tuple[bool, str]:
     for n in range(1, d + 3):
         for a in words.parking_functions(n):
             bps = words.breakpoints(a)
-            gaps = tuple(b - a_ for a_, b in zip((0,) + bps, bps))
+            gaps = tuple(map(sub, bps, (0,) + bps))
             if words.prime_type(a) != gaps:
                 return _fail(f"type differs from breakpoint gaps at {a}")
     return OK
@@ -1033,27 +1039,31 @@ def check_matrix_parkize(d: int) -> tuple[bool, str]:
     Each matrix must read back to its word, leave the word's defect
     column empty, parkize to a matrix reading the parkized word, and,
     when the word parks, trim to as many columns as it has ones."""
+    reading, matrix_parkize = matrices.reading, matrices.matrix_parkize
     top = d + 1
     for k in range(1, top + 1):
         for word in product(range(1, top + 1), repeat=k):
             dfct = words.defect(word)
+            # the defect column's entries, read off each row
+            empty = itemgetter(dfct - 1) if dfct != k + 1 else None
             parked = words.parkize(word)
             trims = words.is_parking(word)
             most = max(word)
             for w in sorted({most, k, k + 1}):
                 if w < most:
                     continue
+                trim = trims and w >= k
                 for m in matrices.word_matrices(word, width=w):
-                    if matrices.reading(m) != word:
+                    if reading(m) != word:
                         return _fail(f"{m} does not read back to {word}")
-                    if dfct != k + 1 and any(row[dfct - 1] for row in m):
+                    if empty is not None and any(map(empty, m)):
                         return _fail(f"defect column of {m} not empty")
-                    pm = matrices.matrix_parkize(m)
-                    if matrices.reading(pm) != parked:
+                    pm = matrix_parkize(m)
+                    if reading(pm) != parked:
                         return _fail(f"matrix parkization disagrees on {m}")
-                    if trims and w >= k and matrices.width(pm) != k:
+                    if trim and matrices.width(pm) != k:
                         return _fail(f"trailing trim wrong on {m}")
-    if matrices.matrix_parkize(((0, 1),)) != ((1,),):
+    if matrix_parkize(((0, 1),)) != ((1,),):
         return _fail("single-entry matrix does not parkize to [[1]]")
     return OK
 

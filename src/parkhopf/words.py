@@ -220,13 +220,30 @@ def connected_factorization(w: Word) -> tuple[Word, ...]:
 
 
 def prime_type(a: Word) -> Composition:
-    """Lengths of the maximal factors of the sorted word; equals the breakpoint gaps."""
-    if not is_parking(a):
-        raise ValueError("not a parking function")
-    if len(a) == 0:
-        return ()
-    cuts = _split_points(sorted(a))
-    return tuple(map(sub, cuts + [len(a)], [0] + cuts))
+    """Lengths of the maximal factors of the sorted word; equals the breakpoint gaps.
+
+    One scan in word order refuses letters as `is_parking` does; on the
+    sorted word s, s[k] > k + 1 means a is not parking and s[k] > k (k > 0)
+    is a cut, every later letter being at least s[k].
+    """
+    n = len(a)
+    for x in a:
+        if x < 1:
+            raise ValueError(f"letters must be positive integers, got {x}")
+        if x > n:
+            raise ValueError("not a parking function")
+    out = []
+    last = 0
+    for k, x in enumerate(sorted(a)):
+        if x > k:
+            if x > k + 1:
+                raise ValueError("not a parking function")
+            if k:
+                out.append(k - last)
+                last = k
+    if n:
+        out.append(n - last)
+    return tuple(out)
 
 
 def mirror(w: Word) -> Word:

@@ -630,14 +630,26 @@ def test_negative_size_is_malformed_input(capsys, argv):
 CORPUS = ROOT / "perfbench" / "cli_corpus.json"
 
 
-def test_cli_corpus_is_byte_identical(capsys, monkeypatch):
-    # the README's determinism promise: every recorded command prints the
-    # same bytes and exits with the same code
-    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
-    with open(CORPUS, encoding="utf-8") as fh:
+def _replay_corpus(capsys, path):
+    # every recorded command prints the same bytes and exits with the same
+    # code; returns how many commands were replayed
+    with open(path, encoding="utf-8") as fh:
         commands = json.load(fh)["commands"]
-    assert len(commands) == 33
     for cmd in commands:
         code, out, _ = run(capsys, *cmd["argv"])
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert (code, digest) == (cmd["exit"], cmd["sha256"]), cmd["argv"]
+    return len(commands)
+
+
+def test_cli_corpus_is_byte_identical(capsys, monkeypatch):
+    # the README's determinism promise
+    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
+    assert _replay_corpus(capsys, CORPUS) == 33
+
+
+def test_output_corpus_is_byte_identical(capsys, monkeypatch):
+    # tests/corpus.json: argv, exit code and the sha256 of stdout, recorded
+    # before a refactor and checked after it
+    monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
+    assert _replay_corpus(capsys, ROOT / "tests" / "corpus.json") >= 2

@@ -55,6 +55,15 @@ def _increasing_cuts(rises):
     return out
 
 
+def _word_matrices_by_cut_filter(a, width):
+    kept = _increasing_cuts(tuple(x < y for x, y in zip(a, a[1:])))
+    blocks = {span for spans in kept for span in spans}
+    cols = range(1, width + 1)
+    row = {(lo, hi): tuple(int(j in a[lo:hi]) for j in cols)
+           for lo, hi in blocks}
+    return sorted(tuple(map(row.get, spans)) for spans in kept)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_word_matrices_matches_the_cut_filter(n):
     for a in itertools.product(range(1, 7), repeat=n):
@@ -62,14 +71,23 @@ def test_word_matrices_matches_the_cut_filter(n):
             assert matrices.word_matrices(a, 0) == [()]
             assert matrices.word_matrices(a, 1) == [()]
             continue
-        kept = _increasing_cuts(tuple(x < y for x, y in zip(a, a[1:])))
-        blocks = {span for spans in kept for span in spans}
         for width in range(max(a), n + 2):
-            cols = range(1, width + 1)
-            row = {(lo, hi): tuple(int(j in a[lo:hi]) for j in cols)
-                   for lo, hi in blocks}
-            want = sorted(tuple(map(row.get, spans)) for spans in kept)
-            assert matrices.word_matrices(a, width) == want, (a, width)
+            assert (matrices.word_matrices(a, width)
+                    == _word_matrices_by_cut_filter(a, width)), (a, width)
+
+
+def _seeded_words(seed, count):
+    # words of length 6 and 7 over 1..8, past the exhaustive tests' reach
+    rng = random.Random(seed)
+    return [tuple(rng.randint(1, 8) for _ in range(rng.choice((6, 7))))
+            for _ in range(count)]
+
+
+def test_word_matrices_matches_the_cut_filter_at_degrees_6_and_7():
+    for a in _seeded_words(6, 1000):
+        for width in range(max(a), len(a) + 3):
+            assert (matrices.word_matrices(a, width)
+                    == _word_matrices_by_cut_filter(a, width)), (a, width)
 
 
 def test_list_matrices_act_as_tuples():
@@ -144,6 +162,14 @@ def test_matrix_parkize_matches_the_deletion_loop(k):
                         == _matrix_parkize_by_deletion(m)), m
     for m in [(), ((0, 0, 0),), ((0, 1, 0), (0, 0, 0)), ((0, 0), (0, 1))]:
         assert matrices.matrix_parkize(m) == _matrix_parkize_by_deletion(m), m
+
+
+def test_matrix_parkize_matches_the_deletion_loop_at_degrees_6_and_7():
+    for a in _seeded_words(7, 1000):
+        for width in range(max(a), len(a) + 3):
+            for m in matrices.word_matrices(a, width):
+                assert (matrices.matrix_parkize(m)
+                        == _matrix_parkize_by_deletion(m)), m
 
 
 def test_matrix_parkize():

@@ -3,8 +3,12 @@ the top degree is found there and not below it, and the count checks run
 past the end of their printed tables."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import parkhopf
 from parkhopf import algebras, fbasis, gbasis, matrices, symfun, verify, words
 from parkhopf.linear import Lin, dual_pairing
 
@@ -198,3 +202,27 @@ def test_cumulant_roundtrip_check_sees_a_wrong_e_star(monkeypatch):
         assert not ok and detail.startswith("cumulant routes disagree on ")
     finally:
         symfun.e_star.cache_clear()
+
+
+def _package_caches():
+    # every lru_cache a package module defines at its top level
+    out = []
+    for info in pkgutil.iter_modules(parkhopf.__path__):
+        mod = importlib.import_module(f"parkhopf.{info.name}")
+        out += [obj for obj in vars(mod).values()
+                if callable(getattr(obj, "cache_clear", None))
+                and getattr(obj, "__module__", "") == mod.__name__]
+    return out
+
+
+def test_cold_run_equals_a_warm_run():
+    # the matrix kernels' memos are package lru_caches, which a cold run
+    # clears with the rest; a plain dict would carry warm work across runs
+    caches = _package_caches()
+    for memo in (matrices._column_plan, matrices._reading_labels):
+        assert memo in caches
+    for memo in caches:
+        memo.cache_clear()
+    cold = verify.run("all", 4)
+    assert matrices._column_plan.cache_info().currsize > 0
+    assert cold == verify.run("all", 4) and len(cold) == 72
