@@ -17,7 +17,6 @@ from .symfun import ns_product
 from .words import (
     Composition,
     Word,
-    connected_factorization,
     distinct_permutations,
     evaluation,
     evaluation_composition,
@@ -88,11 +87,6 @@ def m_polynomial(pi: Word, k: int) -> dict[tuple[int, ...], int]:
         expo = evaluation(w, k)
         out[expo] = out.get(expo, 0) + 1
     return out
-
-
-def c_of_pi(pi: Word) -> Composition:
-    """Lengths of the connected factors of the label."""
-    return tuple(len(f) for f in connected_factorization(_check_label(pi)))
 
 
 def gamma(i: Composition) -> Lin:
@@ -197,14 +191,3 @@ def g_weighted_coefficient_sum(n: int):
     for i, c in g_series(n)[n].items():
         total += multinomial(n, i) * c
     return total
-
-
-def factor_type_sum(n: int) -> Lin:
-    """Sum over degree-n labels of the factor-type generator word."""
-    return _build((c_of_pi(pi), 1) for pi in nondecreasing_parking_functions(n))
-
-
-def evaluation_type_sum(n: int) -> Lin:
-    """Sum over degree-n labels of the evaluation-composition word."""
-    return _build((evaluation_composition(pi), 1)
-                  for pi in nondecreasing_parking_functions(n))

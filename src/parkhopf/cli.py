@@ -182,7 +182,8 @@ def cmd_op(args) -> int:
             degree = sum(map(schroder.key_degree, labels))
             bound = _bound(ENUM_BOUND)
             if degree > bound:
-                return _die(2, f"class table bound exceeded: degree {degree} > {bound}")
+                return _die(2, "class operation bound exceeded: "
+                               f"output degree {degree} > {bound}")
         _check_out(args)
         result = op(*labels)
     except ValueError as exc:

@@ -9,22 +9,19 @@ recursion kept alongside as an independent oracle).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .linear import (Lin, _build, extend_bilinear, extend_linear,
-                     invert_unitriangular, lin_sum)
+                     invert_unitriangular)
 from .words import (
     Composition,
     Word,
-    compositions,
     connected_factorization,
     descent_composition,
     is_parking,
-    parking_functions,
     parking_list,
     parkize,
     prime_parking_functions,
-    prime_type,
     shifted_shuffle,
 )
 
@@ -120,24 +117,6 @@ def v_element(i: Composition) -> Lin:
 @lru_cache(maxsize=None)
 def v_atom(n: int) -> Lin:
     return _build((a, 1) for a in prime_parking_functions(n))
-
-
-def v_element_by_type(i: Composition) -> Lin:
-    """Oracle route: sum F_a over parking functions of type i."""
-    i = tuple(i)
-    return _build((a, 1) for a in parking_functions(sum(i))
-                  if prime_type(a) == i)
-
-
-def pf_sum(n: int) -> Lin:
-    return _build((a, 1) for a in parking_functions(n))
-
-
-def ppf_inclusion_exclusion(n: int) -> Lin:
-    """Prime-class sum recovered from full-class sums by sign inversion."""
-    return lin_sum(reduce(f_mul, map(pf_sum, i), Lin.basis(()))
-                   .scale(-1 if len(i) % 2 == 0 else 1)
-                   for i in compositions(n))
 
 
 def eta(x: Lin) -> Lin:

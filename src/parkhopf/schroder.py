@@ -153,10 +153,6 @@ def classes(n: int) -> dict[Key, tuple[Word, ...]]:
     return dict(found)
 
 
-def schroder_dim(n: int) -> int:
-    return len(classes(n))
-
-
 def class_members(key: Key) -> tuple[Word, ...]:
     """The members of a class, in lexicographic order: the patterns of
     its shape written in the key's letters."""

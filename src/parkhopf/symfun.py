@@ -33,12 +33,9 @@ from .words import (
     Partition,
     coarsenings,
     distinct_permutations,
-    evaluation,
     multinomial,
-    nondecreasing_parking_functions,
     partition_of,
     partitions,
-    prime_type,
     refinements,
 )
 
@@ -175,18 +172,6 @@ def h_star(n: int) -> Sym:
     return Sym(free_moments(rs, Lin(), Lin.basis(()), _h_mul)[-1])
 
 
-def h_star_closed(n: int) -> Sym:
-    """Independent route: h_n* = [t^n] E(-t)^(n+1) / (n+1)."""
-    if n == 0:
-        return Sym.one()
-    em = [Lin.basis(())] + [_e_in_h(k).scale((-1) ** k) for k in range(1, n + 1)]
-    powed = em  # raised to E(-t)^(n+1), truncated at t^n
-    for _ in range(n):
-        powed = [lin_sum(_h_mul(powed[i], em[k - i]) for i in range(k + 1))
-                 for k in range(n + 1)]
-    return Sym(powed[n].scale(Fraction(1, n + 1)))
-
-
 def star(x: Sym) -> Sym:
     """Algebra endomorphism determined by h_n -> h_n*; an involution."""
     return Sym(_substitute(x.vec, lambda part: h_star(part).vec))
@@ -205,15 +190,6 @@ def prime_characteristic(n: int) -> Sym:
     if n < 1:
         raise ValueError("defined for n >= 1")
     return omega(-e_star(n))
-
-
-def prime_characteristic_closed(n: int) -> Sym:
-    """Same character by the explicit partition-indexed formula."""
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    if n == 1:
-        return Sym.h((1,))
-    return Sym(_build((lam, kreweras_count(lam, n - 2)) for lam in partitions(n)))
 
 
 def kreweras_count(lam: Partition, size: int) -> int:
@@ -237,27 +213,10 @@ def type_characteristic(i: Composition) -> Sym:
     return out
 
 
-def type_characteristic_by_words(i: Composition) -> Sym:
-    """Oracle route: sum h over evaluations of nondecreasing members of the type class."""
-    n = sum(i)
-    return Sym(_build((_evaluation_partition(a), 1)
-                      for a in nondecreasing_parking_functions(n)
-                      if prime_type(a) == tuple(i)))
-
-
 def parking_characteristic(n: int) -> Sym:
     """Character of the action on parking functions: h_lam once per orbit,
     that is per nondecreasing parking function of evaluation type lam."""
     return Sym(_build((lam, kreweras_count(lam, n)) for lam in partitions(n)))
-
-
-def parking_characteristic_by_words(n: int) -> Sym:
-    return Sym(_build((_evaluation_partition(a), 1)
-                      for a in nondecreasing_parking_functions(n)))
-
-
-def _evaluation_partition(a) -> Partition:
-    return partition_of(p for p in evaluation(a, len(a)) if p)
 
 
 def prime_eval_count(lam) -> int:
@@ -306,24 +265,6 @@ def moments_to_cumulants(moments) -> list[Fraction]:
 def cumulants_to_moments(cumulants) -> list[Fraction]:
     """Moments m_1..m_n of the free cumulants r_1..r_n."""
     return free_moments(_to_fracs(cumulants), 0, 1, mul)
-
-
-def cumulants_via_star(moments) -> list[Fraction]:
-    """Independent route: R_n = (-1)^n e_n* specialized at h_k -> M_k."""
-    ms = _to_fracs(moments)
-
-    def spec(lam: Partition) -> Fraction:
-        out = Fraction(1)
-        for p in lam:
-            out *= ms[p - 1]
-        return out
-
-    out = []
-    for n in range(1, len(ms) + 1):
-        val = sum((c * spec(lam) for lam, c in e_star(n).vec.items()),
-                  Fraction(0))
-        out.append(val if n % 2 == 0 else -val)
-    return out
 
 
 def nc_moment(cumulants, n: int) -> Fraction:

@@ -2,6 +2,10 @@
 count tables, and cross-route equivalence checks, plus the thirteen
 acceptance gates built from them.
 
+It also holds the second routes (oracles) that its checks compare the
+production routes against, each just above the first check that reads
+it; no production route calls them.
+
 Every check returns (ok, detail) and never raises on mathematical
 failure; the detail carries the first counterexample found.  A check run
 at degree d forms objects of total degree at most d; a few cheap checks
@@ -495,7 +499,7 @@ def check_counts_schroder(d: int) -> tuple[bool, str]:
         closed = words.schroder_count(n)
         if n < len(PRINTED_SCHRODER) and closed != PRINTED_SCHRODER[n]:
             return _fail(f"closed-form class count wrong at n={n}")
-        if schroder.schroder_dim(n) != closed:
+        if len(schroder.classes(n)) != closed:
             return _fail(f"class enumeration differs from closed form at n={n}")
     return OK
 
@@ -619,16 +623,34 @@ def check_mult_basis(d: int) -> tuple[bool, str]:
     return OK
 
 
+def v_element_by_type(i: words.Composition) -> Lin:
+    """Oracle route: sum F_a over parking functions of type i."""
+    i = tuple(i)
+    return _build((a, 1) for a in words.parking_functions(sum(i))
+                  if words.prime_type(a) == i)
+
+
 def check_v_elements(d: int) -> tuple[bool, str]:
     return agree("type-class sum routes disagree at {}", fbasis.v_element,
-                 fbasis.v_element_by_type, _upto(words.compositions, d))
+                 v_element_by_type, _upto(words.compositions, d))
+
+
+def pf_sum(n: int) -> Lin:
+    return _build((a, 1) for a in words.parking_functions(n))
+
+
+def ppf_inclusion_exclusion(n: int) -> Lin:
+    """Prime-class sum recovered from full-class sums by sign inversion."""
+    return lin_sum(reduce(fbasis.f_mul, map(pf_sum, i), Lin.basis(()))
+                   .scale(-1 if len(i) % 2 == 0 else 1)
+                   for i in words.compositions(n))
 
 
 def check_prime_inclusion_exclusion(d: int) -> tuple[bool, str]:
     return agree("prime sum by sign inversion fails at n={}",
                  lambda n: lin_sum(Lin.basis(a)
                                    for a in words.prime_parking_functions(n)),
-                 fbasis.ppf_inclusion_exclusion, range(1, d + 1))
+                 ppf_inclusion_exclusion, range(1, d + 1))
 
 
 def check_eta_morphism(d: int) -> tuple[bool, str]:
@@ -661,11 +683,15 @@ def check_eta_star(d: int) -> tuple[bool, str]:
                  want, _upto(words.compositions, d))
 
 
+def _evaluation_partition(a) -> words.Partition:
+    return words.partition_of(p for p in words.evaluation(a, len(a)) if p)
+
+
 def check_prime_eval_counts(d: int) -> tuple[bool, str]:
     for n in range(1, d + 1):
         brute: dict[tuple[int, ...], int] = {}
         for a in words.prime_parking_functions(n):
-            lam = words.partition_of(p for p in words.evaluation(a, n) if p)
+            lam = _evaluation_partition(a)
             brute[lam] = brute.get(lam, 0) + 1
         total = 0
         for lam in words.partitions(n):
@@ -693,13 +719,25 @@ def check_descent_type_law(d: int) -> tuple[bool, str]:
     return OK
 
 
+def h_star_closed(n: int) -> symfun.Sym:
+    """Independent route: h_n* = [t^n] E(-t)^(n+1) / (n+1)."""
+    if n == 0:
+        return symfun.Sym.one()
+    em = [Lin.basis(())] + [symfun._e_in_h(k).scale((-1) ** k) for k in range(1, n + 1)]
+    powed = em  # raised to E(-t)^(n+1), truncated at t^n
+    for _ in range(n):
+        powed = [lin_sum(symfun._h_mul(powed[i], em[k - i]) for i in range(k + 1))
+                 for k in range(n + 1)]
+    return symfun.Sym(powed[n].scale(Fraction(1, n + 1)))
+
+
 def check_star_involution(d: int) -> tuple[bool, str]:
     if symfun.h_star(1) != -symfun.Sym.h((1,)):
         return _fail("first star image wrong")
     if symfun.h_star(2) != symfun.Sym.h((1, 1), 2) - symfun.Sym.h((2,)):
         return _fail("second star image wrong")
     for n in range(1, d + 3):
-        if symfun.h_star(n) != symfun.h_star_closed(n):
+        if symfun.h_star(n) != h_star_closed(n):
             return _fail(f"star routes differ at n={n}")
         if symfun.star(symfun.h_star(n)) != symfun.Sym.h((n,)):
             return _fail(f"star not involutive at n={n}")
@@ -719,17 +757,40 @@ def check_star_involution(d: int) -> tuple[bool, str]:
     return OK
 
 
+def prime_characteristic_closed(n: int) -> symfun.Sym:
+    """Same character by the explicit partition-indexed formula."""
+    if n < 1:
+        raise ValueError("defined for n >= 1")
+    if n == 1:
+        return symfun.Sym.h((1,))
+    return symfun.Sym(_build((lam, symfun.kreweras_count(lam, n - 2))
+                             for lam in words.partitions(n)))
+
+
+def type_characteristic_by_words(i: words.Composition) -> symfun.Sym:
+    """Oracle route: sum h over evaluations of nondecreasing members of the type class."""
+    n = sum(i)
+    return symfun.Sym(_build((_evaluation_partition(a), 1)
+                             for a in words.nondecreasing_parking_functions(n)
+                             if words.prime_type(a) == tuple(i)))
+
+
+def parking_characteristic_by_words(n: int) -> symfun.Sym:
+    return symfun.Sym(_build((_evaluation_partition(a), 1)
+                             for a in words.nondecreasing_parking_functions(n)))
+
+
 def check_characteristics(d: int) -> tuple[bool, str]:
     for n in range(2, d + 3):
-        if symfun.prime_characteristic(n) != symfun.prime_characteristic_closed(n):
+        if symfun.prime_characteristic(n) != prime_characteristic_closed(n):
             return _fail(f"prime character routes differ at n={n}")
     for n in range(1, d + 1):
         types = {i: symfun.type_characteristic(i) for i in words.compositions(n)}
         for i, tc in types.items():
-            if tc != symfun.type_characteristic_by_words(i):
+            if tc != type_characteristic_by_words(i):
                 return _fail(f"type character routes differ at {i}")
         pc = symfun.parking_characteristic(n)
-        if pc != symfun.parking_characteristic_by_words(n):
+        if pc != parking_characteristic_by_words(n):
             return _fail(f"full character routes differ at n={n}")
         # PF_n = sum over compositions I of n of the products f_I
         if pc.vec != lin_sum(tc.vec for tc in types.values()):
@@ -791,6 +852,24 @@ def check_cumulant_examples(d: int) -> tuple[bool, str]:
     return OK
 
 
+def cumulants_via_star(moments) -> list[Fraction]:
+    """Independent route: R_n = (-1)^n e_n* specialized at h_k -> M_k."""
+    ms = symfun._to_fracs(moments)
+
+    def spec(lam: words.Partition) -> Fraction:
+        out = Fraction(1)
+        for p in lam:
+            out *= ms[p - 1]
+        return out
+
+    out = []
+    for n in range(1, len(ms) + 1):
+        val = sum((c * spec(lam) for lam, c in symfun.e_star(n).vec.items()),
+                  Fraction(0))
+        out.append(val if n % 2 == 0 else -val)
+    return out
+
+
 def check_cumulant_roundtrip(d: int, trials: int = 25) -> tuple[bool, str]:
     rng = random.Random(624)
     for _ in range(trials):
@@ -799,7 +878,7 @@ def check_cumulant_roundtrip(d: int, trials: int = 25) -> tuple[bool, str]:
         rs = symfun.moments_to_cumulants(ms)
         if symfun.cumulants_to_moments(rs) != ms:
             return _fail(f"moment round trip fails on {ms}")
-        if symfun.cumulants_via_star(ms) != rs:
+        if cumulants_via_star(ms) != rs:
             return _fail(f"cumulant routes disagree on {ms}")
         back = symfun.moments_to_cumulants(symfun.cumulants_to_moments(ms))
         if back != ms:
@@ -910,6 +989,12 @@ def check_ribbon_glued_law(d: int) -> tuple[bool, str]:
     return OK
 
 
+def evaluation_type_sum(n: int) -> Lin:
+    """Sum over degree-n labels of the evaluation-composition word."""
+    return _build((words.evaluation_composition(pi), 1)
+                  for pi in words.nondecreasing_parking_functions(n))
+
+
 def check_g_series(d: int) -> tuple[bool, str]:
     top = d + 2
     g = catalan.g_series(top)
@@ -920,9 +1005,20 @@ def check_g_series(d: int) -> tuple[bool, str]:
             return _fail(f"commutative image of the series fails at n={n}")
         if catalan.g_weighted_coefficient_sum(n) != words.pf_count(n):
             return _fail(f"weighted coefficient sum wrong at n={n}")
-        if catalan.evaluation_type_sum(n) != g[n]:
+        if evaluation_type_sum(n) != g[n]:
             return _fail(f"evaluation-type expansion differs at n={n}")
     return OK
+
+
+def c_of_pi(pi: words.Word) -> words.Composition:
+    """Lengths of the connected factors of the label."""
+    return tuple(len(f) for f in
+                 words.connected_factorization(catalan._check_label(pi)))
+
+
+def factor_type_sum(n: int) -> Lin:
+    """Sum over degree-n labels of the factor-type generator word."""
+    return _build((c_of_pi(pi), 1) for pi in words.nondecreasing_parking_functions(n))
 
 
 def report_g_routes(d: int) -> tuple[bool, str]:
@@ -930,8 +1026,8 @@ def report_g_routes(d: int) -> tuple[bool, str]:
     g = catalan.g_series(top)
     lines = []
     for n in range(1, top + 1):
-        by_factor = catalan.factor_type_sum(n)
-        by_eval = catalan.evaluation_type_sum(n)
+        by_factor = factor_type_sum(n)
+        by_eval = evaluation_type_sum(n)
         lines.append(
             f"n={n}: factor-type route {'==' if by_factor == g[n] else '!='} g_n, "
             f"evaluation route {'==' if by_eval == g[n] else '!='} g_n")

@@ -88,9 +88,9 @@ def test_gamma():
 def test_evaluation_vs_factor_composition():
     # the two candidate composition statistics genuinely differ
     assert words.evaluation_composition(w("113")) == (2, 1)
-    assert catalan.c_of_pi(w("113")) == (2, 1)
+    assert verify.c_of_pi(w("113")) == (2, 1)
     assert words.evaluation_composition(w("112")) == (2, 1)
-    assert catalan.c_of_pi(w("112")) == (3,)
+    assert verify.c_of_pi(w("112")) == (3,)
 
 
 def test_ribbon_transition():

@@ -362,11 +362,11 @@ def test_unwritable_out_file_is_refused_before_the_work(capsys, monkeypatch,
 
 
 def test_class_operations_are_bounded_before_any_table():
-    # degree 10 would list about 2.4e9 parking functions
+    # the bound is on the output degree of a Pq or Q operation, 10 here
     proc = _run_cli("mul", "--basis", "Q", "11111", "11111", timeout=5)
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr == (
-        b"parkhopf: class table bound exceeded: degree 10 > 8\n")
+        b"parkhopf: class operation bound exceeded: output degree 10 > 8\n")
 
 
 def test_class_bound_is_raised_by_the_override(capsys, monkeypatch):
@@ -652,4 +652,4 @@ def test_output_corpus_is_byte_identical(capsys, monkeypatch):
     # tests/corpus.json: argv, exit code and the sha256 of stdout, recorded
     # before a refactor and checked after it
     monkeypatch.delenv("PARKHOPF_MAX_N", raising=False)
-    assert _replay_corpus(capsys, ROOT / "tests" / "corpus.json") >= 2
+    assert _replay_corpus(capsys, ROOT / "tests" / "corpus.json") >= 39

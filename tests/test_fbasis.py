@@ -111,12 +111,12 @@ def test_v_elements_and_inclusion_exclusion():
     assert verify.check_v_elements(4)[0]
     assert verify.check_prime_inclusion_exclusion(4)[0]
     # degree 2: the prime class sum is F_11, by signs: F-sum(2) - F_1 F_1
-    direct = fbasis.ppf_inclusion_exclusion(2)
+    direct = verify.ppf_inclusion_exclusion(2)
     assert direct == Lin.basis((1, 1))
 
 
 def test_pf_sum():
-    assert fbasis.pf_sum(2) == lin_sum(
+    assert verify.pf_sum(2) == lin_sum(
         Lin.basis(a) for a in [(1, 1), (1, 2), (2, 1)])
 
 

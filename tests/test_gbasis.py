@@ -110,6 +110,14 @@ def test_product_example():
 
 def test_product_by_duality_agrees():
     assert verify.check_duality_adjoint(4)[0]
+    # the second route, read off the F coproduct, on every pair of total
+    # degree at most 4
+    for n1 in range(1, 4):
+        for n2 in range(1, 5 - n1):
+            for a1 in words.parking_list(n1):
+                for a2 in words.parking_list(n2):
+                    assert gbasis.g_product_by_duality(a1, a2) == \
+                        gbasis.g_product(a1, a2), (a1, a2)
 
 
 def test_coproduct_example():

@@ -110,7 +110,7 @@ def test_key_of_word_rejects_non_parking():
 
 
 def test_class_counts():
-    assert [schroder.schroder_dim(n) for n in range(7)] == [
+    assert [len(schroder.classes(n)) for n in range(7)] == [
         1, 1, 3, 11, 45, 197, 903]
 
 

@@ -35,7 +35,7 @@ def test_rational_round_trip_of_t_over_one_minus_t():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sym_star_matches_the_lagrange_oracle(n):
-    assert symfun.h_star(n) == symfun.h_star_closed(n)
+    assert symfun.h_star(n) == verify.h_star_closed(n)
 
 
 def test_nsym_g_series_at_the_cli_bound():

@@ -197,11 +197,54 @@ def test_cumulant_roundtrip_check_sees_a_wrong_e_star(monkeypatch):
     symfun.e_star.cache_clear()
     try:
         assert symfun.e_star(3) != -symfun.omega(
-            symfun.prime_characteristic_closed(3))
+            verify.prime_characteristic_closed(3))
         ok, detail = verify.check_cumulant_roundtrip(4)
         assert not ok and detail.startswith("cumulant routes disagree on ")
     finally:
         symfun.e_star.cache_clear()
+
+
+def _plus_h1(x):
+    return x + symfun.Sym.h((1,))
+
+
+def _plus_term(x):
+    return x + Lin.basis((9,))
+
+
+# (oracle in verify, perturbation of its value, the check that reads it,
+# the head of that check's failure detail at degree 1)
+ORACLES = [
+    ("h_star_closed", _plus_h1, verify.check_star_involution,
+     "star routes differ at n=1"),
+    ("prime_characteristic_closed", _plus_h1, verify.check_characteristics,
+     "prime character routes differ at n=2"),
+    ("type_characteristic_by_words", _plus_h1, verify.check_characteristics,
+     "type character routes differ at (1,)"),
+    ("parking_characteristic_by_words", _plus_h1,
+     verify.check_characteristics, "full character routes differ at n=1"),
+    ("cumulants_via_star", lambda rs: [r + 1 for r in rs],
+     verify.check_cumulant_roundtrip, "cumulant routes disagree on "),
+    ("evaluation_type_sum", _plus_term, verify.check_g_series,
+     "evaluation-type expansion differs at n=1"),
+    ("v_element_by_type", _plus_term, verify.check_v_elements,
+     "type-class sum routes disagree at (1,)"),
+    ("ppf_inclusion_exclusion", _plus_term,
+     verify.check_prime_inclusion_exclusion,
+     "prime sum by sign inversion fails at n=1"),
+]
+
+
+@pytest.mark.parametrize("name, perturb, check, detail", ORACLES,
+                         ids=[row[0] for row in ORACLES])
+def test_each_oracle_is_the_one_its_check_reads(monkeypatch, name, perturb,
+                                                check, detail):
+    # the check looks the second route up in verify, where it is defined
+    assert check(1) == verify.OK
+    oracle = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: perturb(oracle(*args)))
+    ok, got = check(1)
+    assert not ok and got.startswith(detail), got
 
 
 def _package_caches():
