@@ -21,9 +21,10 @@ from itertools import accumulate
 from math import factorial, prod
 from operator import itemgetter, sub
 
+from .fbasis import _check_parking
 from .gbasis import g_mul
 from .linear import Lin, _build
-from .words import Word, coarsenings, evaluation, is_parking, parking_list
+from .words import Word, coarsenings, evaluation, parking_list
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -72,10 +73,7 @@ def _recoil_composition(count, first, last) -> tuple[int, ...]:
 
 
 def key_of_word(a: Word) -> Key:
-    a = tuple(a)
-    if not is_parking(a):
-        raise ValueError(f"not a parking function: {a}")
-    return hypo_key(a)
+    return hypo_key(_check_parking(a))
 
 
 def key_degree(key: Key) -> int:

@@ -3,6 +3,9 @@
 Words are tuples of positive integers (letters are 1-based); the empty tuple
 is the unique word of length 0.  A word of length n is a parking function
 when its nondecreasing rearrangement a satisfies a[i] <= i+1 for every index.
+`is_parking`, `defect`, `breakpoints` and `prime_type` refuse a word holding
+a letter below 1 with `letters must be positive integers, got x`, x the
+first such letter, wherever it stands; the command line exits 3 with it.
 Non-crossing partitions of [n] are stored as tuples of blocks, each block a
 sorted tuple, blocks ordered by their minima.
 
@@ -33,38 +36,33 @@ def _check_degree(n: int) -> None:
 # ---------------------------------------------------------------------------
 # parking predicates and parkization
 
-def is_parking(w: Word) -> bool:
-    n = len(w)
-    counts = [0] * (n + 1)
-    for x in w:
-        if x < 1:
-            raise ValueError(f"letters must be positive integers, got {x}")
-        if x > n:
-            return False
-        counts[x] += 1
-    seen = 0
-    for b in range(1, n + 1):
-        seen += counts[b]
-        if seen < b:
-            return False
-    return True
+def _slack(w: Word) -> list[int]:
+    """slack[b] = #{letters <= b} - b for b = 0..len(w).
 
-
-def defect(w: Word) -> int:
-    """Smallest i with fewer than i letters <= i; len(w)+1 when w is parking."""
+    Every letter is read before any verdict, so a letter below 1 is refused
+    by name wherever it stands (the first in word order).  slack[0] is 0 and
+    each step, #{letters == b} - 1, lowers it by at most 1: w parks exactly
+    when -1 is absent, and the index of the first -1 is the defect.
+    """
     n = len(w)
-    counts = [0] * (n + 1)
+    steps = [-1] * (n + 1)
+    steps[0] = 0
     for x in w:
         if x < 1:
             raise ValueError(f"letters must be positive integers, got {x}")
         if x <= n:
-            counts[x] += 1
-    seen = 0
-    for i in range(1, n + 1):
-        seen += counts[i]
-        if seen < i:
-            return i
-    return n + 1
+            steps[x] += 1
+    return list(itertools.accumulate(steps))
+
+
+def is_parking(w: Word) -> bool:
+    return -1 not in _slack(w)
+
+
+def defect(w: Word) -> int:
+    """Smallest i with fewer than i letters <= i; len(w)+1 when w is parking."""
+    slack = _slack(w)
+    return slack.index(-1) if -1 in slack else len(slack)
 
 
 def parkize(w: Word) -> Word:
@@ -158,29 +156,14 @@ def shifted_shuffle(u: Word, v: Word) -> list[Word]:
 # breakpoints, primality, connectedness
 
 def breakpoints(a: Word) -> tuple[int, ...]:
-    """Values b such that exactly b letters of the parking function a are <= b.
-
-    One pass counts the letters, refusing a letter below 1 or above the
-    length as `is_parking` does, and one walks the thresholds: a count
-    below b means a is not parking, a count equal to b is a breakpoint.
-    """
-    n = len(a)
-    counts = [0] * (n + 1)
-    for x in a:
-        if x < 1:
-            raise ValueError(f"letters must be positive integers, got {x}")
-        if x > n:
-            raise ValueError("not a parking function")
-        counts[x] += 1
+    """Values b such that exactly b letters of the parking function a are <= b."""
     out = []
-    seen = 0
-    for b in range(1, n + 1):
-        seen += counts[b]
-        if seen == b:
+    for b, s in enumerate(_slack(a)):
+        if not s:
             out.append(b)
-        elif seen < b:
+        elif s < 0:
             raise ValueError("not a parking function")
-    return tuple(out)
+    return tuple(out[1:])  # slack[0] is 0, and b = 0 is no breakpoint
 
 
 def is_prime(a: Word) -> bool:
@@ -222,19 +205,19 @@ def connected_factorization(w: Word) -> tuple[Word, ...]:
 def prime_type(a: Word) -> Composition:
     """Lengths of the maximal factors of the sorted word; equals the breakpoint gaps.
 
-    One scan in word order refuses letters as `is_parking` does; on the
-    sorted word s, s[k] > k + 1 means a is not parking and s[k] > k (k > 0)
-    is a cut, every later letter being at least s[k].
+    One scan of the sorted word s does the checking: a smallest letter below
+    1 is refused by naming the first such letter in word order, s[k] > k + 1
+    means a is not parking, and s[k] > k (k > 0) is a cut, every later
+    letter being at least s[k].
     """
     n = len(a)
-    for x in a:
-        if x < 1:
-            raise ValueError(f"letters must be positive integers, got {x}")
-        if x > n:
-            raise ValueError("not a parking function")
+    s = sorted(a)
+    if n and s[0] < 1:
+        low = next(x for x in a if x < 1)
+        raise ValueError(f"letters must be positive integers, got {low}")
     out = []
     last = 0
-    for k, x in enumerate(sorted(a)):
+    for k, x in enumerate(s):
         if x > k:
             if x > k + 1:
                 raise ValueError("not a parking function")

@@ -102,12 +102,17 @@ def test_enum_text_streams_the_json_words(capsys):
     assert text.splitlines() == listed and len(listed) == 92
 
 
-def test_enum_empty_class_with_out_file(capsys, tmp_path):
+@pytest.mark.parametrize("kind, listed", [("prime", []), ("pf", [[]])],
+                         ids=["prime", "pf"])
+def test_enum_empty_class_with_out_file(capsys, tmp_path, kind, listed):
+    # no words, and one empty word (one empty line on stdout): the file
+    # is json.dump's, byte for byte
     target = tmp_path / "f.json"
-    code, out, _ = run(capsys, "enum", "prime", "0", "--out", str(target))
-    assert code == 0 and out == ""
-    assert json.loads(target.read_text()) == {"kind": "prime", "n": 0,
-                                              "words": []}
+    code, out, _ = run(capsys, "enum", kind, "0", "--out", str(target))
+    payload = {"kind": kind, "n": 0, "words": listed}
+    assert code == 0 and out == "\n" * len(listed)
+    assert target.read_text() == json.dumps(payload, sort_keys=True,
+                                            indent=2) + "\n"
 
 
 def test_enum_json_streams_the_class():
@@ -224,6 +229,9 @@ def test_render_word_matches_the_per_letter_definition():
     (("comul", "--basis", "R", "1"), "coproduct not available in basis R"),
     (("antipode", "--basis", "P", "1"), "antipode not available in basis P"),
     (("mul", "--basis", "F", "1", "13"), "not a parking function: 13"),
+    # a letter below 1 is refused by name wherever it stands
+    (("mul", "50", "1"), "letters must be positive integers, got 0"),
+    (("mul", "05", "1"), "letters must be positive integers, got 0"),
 ])
 def test_op_malformed_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -263,14 +263,25 @@ WORD_KERNELS = [(words.breakpoints, _breakpoints_by_parking_check),
                 (words._split_points, _split_points_by_loop)]
 
 
+REFUSING = (words.is_parking, words.defect, words.breakpoints, words.prime_type)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_word_kernels_match_their_references_on_every_small_word(n):
     # letters up to 8 exceed every length in this test, so non-parking
     # words of each kind are covered; letters below 1 take the first error
-    for letters in (range(1, 9), range(-1, 4) if n <= 4 else ()):
+    small = range(-1, 6) if n <= 4 else ()
+    for letters in (range(1, 9), small):
         for w in itertools.product(letters, repeat=n):
             for kernel, reference in WORD_KERNELS:
                 assert _outcome(kernel, w) == _outcome(reference, w), w
+    # the positive-letters message comes exactly when w holds a letter
+    # below 1, naming the first one, wherever it stands
+    for w in itertools.product(small, repeat=n):
+        low = next((x for x in w if x < 1), None)
+        refusal = ("ValueError", f"letters must be positive integers, got {low}")
+        for f in REFUSING:
+            assert (_outcome(f, w) == refusal) == (low is not None), (f, w)
 
 
 def test_word_kernels_match_their_references_at_length_7():
