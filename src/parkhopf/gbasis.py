@@ -12,7 +12,7 @@ from math import comb
 from operator import ge
 
 from .fbasis import _f_in_mult_basis, f_coproduct
-from .linear import (Lin, _build, extend_bilinear, extend_linear,
+from .linear import (Lin, _build, _freeze, extend_bilinear, extend_linear,
                      invert_unitriangular)
 from .words import (
     Word,
@@ -66,25 +66,33 @@ def _counts_up_to(w: Word, n: int) -> list[int]:
     return list(accumulate(counts))[1:]
 
 
+def _counted_fiber(a: Word, n: int) -> list[tuple[Word, list[int]]]:
+    """The fiber of a over {1..n}, n >= len(a), each word with its
+    `_counts_up_to` row; it is empty only when a does not park."""
+    fiber = parkization_fiber(a, n)
+    if not fiber:
+        raise ValueError(f"not a parking function: {tuple(a)}")
+    return [(w, _counts_up_to(w, n)) for w in fiber]
+
+
+def _parking_tails(have: list[int], counted: list) -> list[Word]:
+    """The words v of a counted fiber with u.v parking, for u with counts
+    row `have`: #{letters of v <= b} >= b - #{letters of u <= b} for
+    every b."""
+    need = [b - c for b, c in enumerate(have, start=1)]
+    return [v for v, got in counted if all(map(ge, got, need))]
+
+
 def convolution(a1: Word, a2: Word) -> list[Word]:
     """Parking words u.v with parkize(u) = a1 and parkize(v) = a2, sorted.
 
-    u.v parks when #{letters of v <= b} >= b - #{letters of u <= b} for
-    every b.  The fiber of a2 is made once with its counts; u's fiber is
-    sorted and u has a fixed length, so the words come out in order.
+    The fiber of a2 is made once with its counts; u's fiber is sorted and
+    u has a fixed length, so the words come out in order.
     """
     n = len(a1) + len(a2)
-    fiber_u = parkization_fiber(a1, n)
-    fiber_v = parkization_fiber(a2, n)
-    for a, fiber in ((a1, fiber_u), (a2, fiber_v)):
-        if not fiber:  # a fiber over {1..n} is empty only when a does not park
-            raise ValueError(f"not a parking function: {tuple(a)}")
-    counted = [(v, _counts_up_to(v, n)) for v in fiber_v]
-    out = []
-    for u in fiber_u:
-        need = [b - c for b, c in enumerate(_counts_up_to(u, n), start=1)]
-        out.extend(u + v for v, have in counted if all(map(ge, have, need)))
-    return out
+    fiber_u = _counted_fiber(a1, n)
+    fiber_v = _counted_fiber(a2, n)
+    return [u + v for u, have in fiber_u for v in _parking_tails(have, fiber_v)]
 
 
 def g_product(a1: Word, a2: Word) -> Lin:
@@ -130,11 +138,29 @@ def g_coproduct_by_unshuffle(a: Word) -> Lin:
 
 @lru_cache(maxsize=None)
 def _g_antipode(a: Word) -> Lin:
+    """S(G_a) = -sum of S(G_u) G_v over the cuts (u, v) of a with u != a.
+
+    The products are summed from the convolution words themselves: v's
+    counted fiber is made once per cut, and each term d G_x of S(G_u)
+    adds -d G_w for every parking w = x'.v' with x' in x's fiber and v' in
+    v's.
+    """
     if not a:
         return Lin.basis(())
-    return _build((k, -c * d) for (u, v), c in g_coproduct(a).items()
-                  if len(u) < len(a)
-                  for k, d in g_mul(_g_antipode(u), Lin.basis(v)).items())
+    n = len(a)
+    acc = {}
+    get = acc.get
+    for (u, v), c in g_coproduct(a).items():
+        if len(u) == n:
+            continue
+        fiber_v = _counted_fiber(v, n)
+        for x, d in _g_antipode(u).items():
+            term = -c * d
+            for xu, have in _counted_fiber(x, n):
+                for xv in _parking_tails(have, fiber_v):
+                    w = xu + xv
+                    acc[w] = get(w, 0) + term
+    return _freeze(acc)
 
 
 # antipode via the defining convolution recursion

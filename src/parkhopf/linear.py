@@ -156,13 +156,17 @@ def _freeze(acc: dict[Label, Any]) -> Lin:
     """Wrap a private dict of sums as a Lin, taking ownership of it.
 
     Every sum that is not an int goes through ``_coerce``: an integral
-    Fraction becomes an int and a float raises.  Zero sums are dropped.
+    Fraction becomes an int and a float raises.  ``acc`` itself becomes
+    the Lin's dict; a filtered copy is made only when some sum is 0.
     """
+    zero = False
     for k, c in acc.items():
         if type(c) is not int:
-            acc[k] = _coerce(c)
-    r = Lin()
-    r._t = {k: c for k, c in acc.items() if c}
+            c = acc[k] = _coerce(c)
+        if not c:
+            zero = True
+    r = Lin.__new__(Lin)
+    r._t = {k: c for k, c in acc.items() if c} if zero else acc
     return r
 
 

@@ -154,9 +154,11 @@ def matrix_parkize(m: Matrix) -> Matrix:
     column sums decide the relabelling, as `words.parkize` does on the
     sorted reading (see `_column_plan`).  A label never moves up and its
     drop never shrinks, so the reading parks exactly when the last
-    nonzero column keeps its label.
+    nonzero column keeps its label.  A tuple whose first row is a tuple
+    is taken as built here, a tuple of tuples, and is not copied.
     """
-    m = _normalize(m)
+    if type(m) is not tuple or m and type(m[0]) is not tuple:
+        m = _normalize(m)
     plan = _column_plan(tuple(map(sum, zip(*m))))
     if plan is None:
         return m

@@ -24,7 +24,8 @@ from operator import itemgetter, sub
 from .fbasis import _check_parking
 from .gbasis import g_mul
 from .linear import Lin, _build
-from .words import Word, coarsenings, evaluation, parking_list
+from .words import (Word, _below_one, coarsenings, evaluation,
+                    parking_list)
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -36,7 +37,8 @@ def hypo_key(w: Word) -> Key:
     the 1s, then of the 2s, and so on.  It descends exactly where a value
     first occurs before the last occurrence of the previous value present,
     so one pass recording each value's count, first and last position
-    gives both parts of the key.
+    gives both parts of the key.  Bad letters are refused as
+    `words.evaluation` refuses them.
     """
     w = tuple(w)
     n = len(w)
@@ -47,7 +49,8 @@ def hypo_key(w: Word) -> Key:
         if x < 1:
             raise ValueError(f"letters must be positive integers, got {x}")
         if x > n:
-            raise ValueError(f"letter {x} exceeds evaluation length {n}")
+            raise (_below_one(w)
+                   or ValueError(f"letter {x} exceeds evaluation length {n}"))
         if not ev[x - 1]:
             first[x - 1] = i
         ev[x - 1] += 1

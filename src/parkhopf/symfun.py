@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
 from .linear import (Lin, _build, _coerce, dual_pairing, extend_bilinear,
@@ -257,14 +257,36 @@ def _to_fracs(seq) -> list[Fraction]:
     return [Fraction(_coerce(x)) for x in seq]
 
 
+def _over_int(solve, seq) -> list[Fraction]:
+    """`solve` (`free_cumulants` or `free_moments`) of seq, run over int.
+
+    m_k and r_k both have weight k: every term of the recurrence for the
+    k-th entry is a product of entries whose indices sum to k.  So with D
+    the lcm of the denominators, x_k D^k is an integer on both sides, the
+    recurrence holds for the scaled entries unchanged, and each result is
+    read back as x_k / D^k, with no gcd before the last step.
+    """
+    terms = _to_fracs(seq)
+    d = lcm(*(x.denominator for x in terms))
+    scaled, power = [], 1
+    for x in terms:
+        scaled.append(x.numerator * (d // x.denominator) * power)
+        power *= d
+    out, power = [], 1
+    for x in solve(scaled, 0, 1, mul):
+        power *= d
+        out.append(Fraction(x, power))
+    return out
+
+
 def moments_to_cumulants(moments) -> list[Fraction]:
     """Free cumulants r_1..r_n of the moments m_1..m_n."""
-    return free_cumulants(_to_fracs(moments), 0, 1, mul)
+    return _over_int(free_cumulants, moments)
 
 
 def cumulants_to_moments(cumulants) -> list[Fraction]:
     """Moments m_1..m_n of the free cumulants r_1..r_n."""
-    return free_moments(_to_fracs(cumulants), 0, 1, mul)
+    return _over_int(free_moments, cumulants)
 
 
 def nc_moment(cumulants, n: int) -> Fraction:

@@ -273,12 +273,18 @@ def compatible(basis: str, pairs) -> tuple[bool, str]:
 
 
 def antipode_identity(basis: str, labels) -> tuple[bool, str]:
-    """m(S x id)delta and m(id x S)delta vanish on labels of positive degree."""
+    """m(S x id)delta and m(id x S)delta vanish on labels of positive degree.
+
+    S(a) is formed once per label: the left half reads it at the cut
+    (a, 1) and the right half at (1, a); every other cut calls S.
+    """
     mul, s = extend_bilinear(MUL[basis]), ANTIPODE[basis]
     for a in labels:
-        t = COMUL[basis](a)
-        left = lin_sum(mul(s(u), Lin.basis(v)).scale(c) for (u, v), c in t.items())
-        right = lin_sum(mul(Lin.basis(u), s(v)).scale(c) for (u, v), c in t.items())
+        t, sa = COMUL[basis](a), s(a)
+        left = lin_sum(mul(sa if u == a else s(u), Lin.basis(v)).scale(c)
+                       for (u, v), c in t.items())
+        right = lin_sum(mul(Lin.basis(u), sa if v == a else s(v)).scale(c)
+                        for (u, v), c in t.items())
         if left or right:
             return _fail(f"{basis}: antipode convolution identity fails at {a}")
     return OK

@@ -3,9 +3,10 @@
 Words are tuples of positive integers (letters are 1-based); the empty tuple
 is the unique word of length 0.  A word of length n is a parking function
 when its nondecreasing rearrangement a satisfies a[i] <= i+1 for every index.
-`is_parking`, `defect`, `breakpoints` and `prime_type` refuse a word holding
-a letter below 1 with `letters must be positive integers, got x`, x the
-first such letter, wherever it stands; the command line exits 3 with it.
+`is_parking`, `defect`, `breakpoints`, `prime_type`, `parkize` and
+`evaluation` refuse a word holding a letter below 1 with `letters must be
+positive integers, got x`, x the first such letter in word order, wherever
+it stands; the command line exits 3 with it.
 Non-crossing partitions of [n] are stored as tuples of blocks, each block a
 sorted tuple, blocks ordered by their minima.
 
@@ -55,6 +56,15 @@ def _slack(w: Word) -> list[int]:
     return list(itertools.accumulate(steps))
 
 
+def _below_one(w: Word) -> ValueError | None:
+    """The refusal of a word holding a letter below 1, naming the first
+    such letter in word order; None when every letter is positive."""
+    for x in w:
+        if x < 1:
+            return ValueError(f"letters must be positive integers, got {x}")
+    return None
+
+
 def is_parking(w: Word) -> bool:
     return -1 not in _slack(w)
 
@@ -77,7 +87,7 @@ def parkize(w: Word) -> Word:
     w = tuple(w)
     letters = sorted(w)
     if letters and letters[0] < 1:
-        raise ValueError(f"letters must be positive integers, got {letters[0]}")
+        raise _below_one(w)
     new = {}
     prev = cur = 0
     for i, v in enumerate(letters, start=1):
@@ -213,8 +223,7 @@ def prime_type(a: Word) -> Composition:
     n = len(a)
     s = sorted(a)
     if n and s[0] < 1:
-        low = next(x for x in a if x < 1)
-        raise ValueError(f"letters must be positive integers, got {low}")
+        raise _below_one(a)
     out = []
     last = 0
     for k, x in enumerate(s):
@@ -318,13 +327,15 @@ def multinomial(n: int, parts) -> int:
 # evaluations and the successor order on nondecreasing parking functions
 
 def evaluation(w: Word, n: int) -> tuple[int, ...]:
-    """Multiplicity vector (m_1, ..., m_n); letters below 1 or above n are rejected."""
+    """Multiplicity vector (m_1, ..., m_n); letters below 1 or above n are
+    rejected, a letter below 1 first wherever it stands."""
     ev = [0] * n
     for x in w:
         if x < 1:
             raise ValueError(f"letters must be positive integers, got {x}")
         if x > n:
-            raise ValueError(f"letter {x} exceeds evaluation length {n}")
+            raise (_below_one(w)
+                   or ValueError(f"letter {x} exceeds evaluation length {n}"))
         ev[x - 1] += 1
     return tuple(ev)
 

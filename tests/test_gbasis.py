@@ -148,6 +148,37 @@ def test_antipode_axiom_small():
             assert out == Lin(), a
 
 
+def _g_antipode_by_g_mul(a, memo):
+    """Reference: S(G_a) = -sum of S(G_u) G_v over the cuts with u != a,
+    each product formed by g_mul and summed as Lins."""
+    if a not in memo:
+        memo[a] = Lin.basis(()) if not a else lin_sum(
+            gbasis.g_mul(_g_antipode_by_g_mul(u, memo), Lin.basis(v)).scale(-c)
+            for (u, v), c in gbasis.g_coproduct(a).items() if len(u) < len(a))
+    return memo[a]
+
+
+def test_antipode_matches_the_g_mul_recursion():
+    memo = {}
+    for n in range(6):
+        for a in words.parking_list(n):
+            assert gbasis._g_antipode(a) == _g_antipode_by_g_mul(a, memo), a
+    rng = random.Random(29)
+    for n, k in ((6, 4), (7, 2)):
+        for a in rng.sample(words.parking_list(n), k):
+            assert gbasis._g_antipode(a) == _g_antipode_by_g_mul(a, memo), a
+
+
+def test_antipode_is_the_transpose_of_the_f_antipode():
+    # <S(G_a), F_b> = <G_a, S(F_b)>
+    for n in range(5):
+        labels = words.parking_list(n)
+        for a in labels:
+            s = gbasis._g_antipode(a)
+            for b in labels:
+                assert s.coeff(b) == fbasis.f_antipode_by_recursion(b).coeff(a), (a, b)
+
+
 def test_phi():
     assert gbasis.phi((1, 2)) == Lin.basis(w("11")) + Lin.basis(w("12"))
     assert gbasis.phi((2, 1)) == Lin.basis(w("21"))

@@ -176,7 +176,7 @@ def test_matrix_parkize():
     assert matrices.matrix_parkize(((0, 1),)) == ((1,),)
     assert matrices.matrix_parkize(((0, 1), (0, 1))) == ((1,), (1,))
     stay = ((1, 1, 0), (0, 1, 0))
-    assert matrices.matrix_parkize(stay) == stay
+    assert matrices.matrix_parkize(stay) is stay  # a tuple is not copied
     assert verify.check_matrix_parkize(4)[0]
 
 

@@ -93,14 +93,22 @@ def test_recoil_pickers_match_hypo_key(n):
         assert sorted(picked) == list(ranked), m
 
 
-@pytest.mark.parametrize("bad", [(0, 1), (1, 0), (2, -1)])
+# word -> the letter its refusal names; a letter below 1 is refused first,
+# whether it stands before or after a letter above the length
+HYPO_KEY_REFUSALS = {(0, 1): 0, (1, 0): 0, (2, -1): -1, (5, 0): 0, (0, 5): 0,
+                     (3, 0, -1): 0}
+
+
+@pytest.mark.parametrize("bad", list(HYPO_KEY_REFUSALS))
 def test_hypo_key_rejects_letters_below_one(bad):
-    with pytest.raises(ValueError, match="positive integers"):
+    low = HYPO_KEY_REFUSALS[bad]
+    with pytest.raises(ValueError,
+                       match=f"^letters must be positive integers, got {low}$"):
         schroder.hypo_key(bad)
 
 
 def test_hypo_key_rejects_letters_above_length():
-    with pytest.raises(ValueError, match="exceeds evaluation length"):
+    with pytest.raises(ValueError, match="^letter 3 exceeds evaluation length 2$"):
         schroder.hypo_key((1, 3))
 
 

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parkhopf import symfun, verify, words
+from parkhopf import series, symfun, verify, words
 from parkhopf.linear import Lin
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -149,6 +150,31 @@ def test_seeded_cumulants_against_noncrossing_sum(seed):
     assert got_m == ms and _all_fractions(got_m)
     got_r = symfun.moments_to_cumulants(ms)
     assert got_r == rs and _all_fractions(got_r)
+
+
+def _seeded_terms(seed: int, count: int, digits: int) -> list:
+    """count terms mixing ints, Fractions and fraction strings, of both
+    signs, with numerators and denominators of up to `digits` digits."""
+    rng = random.Random(seed)
+    terms = []
+    for k in range(count):
+        num = rng.randint(-10 ** digits + 1, 10 ** digits - 1)
+        den = rng.randint(1, 10 ** digits - 1)
+        terms.append((num, Fraction(num, den), f"{num}/{den}")[k % 3])
+    return terms
+
+
+@pytest.mark.parametrize("seed, count, digits", [
+    (1, 0, 2), (2, 1, 2), (3, 7, 1), (4, 12, 3), (5, 9, 20), (6, 20, 64)])
+def test_integer_recurrence_equals_the_fraction_recurrence(seed, count,
+                                                           digits):
+    terms = _seeded_terms(seed, count, digits)
+    fracs = [Fraction(x) for x in terms]
+    for route, solve in ((symfun.moments_to_cumulants, series.free_cumulants),
+                         (symfun.cumulants_to_moments, series.free_moments)):
+        got = route(terms)
+        assert got == solve(fracs, Fraction(0), Fraction(1), mul)
+        assert _all_fractions(got)
 
 
 def test_moment_cumulant_examples():

@@ -51,6 +51,25 @@ def test_adjointness_sees_a_missing_coproduct_term(monkeypatch):
         False, "coproduct/product adjointness fails at (1,),(1, 1),(1, 2, 2)")
 
 
+def test_f_antipode_axiom_sees_a_sign_flip(monkeypatch):
+    antipode = fbasis.f_antipode
+    monkeypatch.setattr(fbasis, "f_antipode",
+                        lambda a: -antipode(a) if a else antipode(a))
+    assert verify.check_f_antipode_axiom(4) == (
+        False, "F: antipode convolution identity fails at (1,)")
+
+
+def test_f_antipode_axiom_runs_at_its_top_label(monkeypatch):
+    # S(F_1234) is read only by the check of 1234 itself, at the cuts
+    # (1234, 1) and (1, 1234)
+    antipode, top = fbasis.f_antipode, (1, 2, 3, 4)
+    monkeypatch.setattr(fbasis, "f_antipode", lambda a: antipode(a)
+                        + Lin.basis(top) if a == top else antipode(a))
+    assert verify.check_f_antipode_axiom(3) == verify.OK
+    assert verify.check_f_antipode_axiom(4) == (
+        False, "F: antipode convolution identity fails at (1, 2, 3, 4)")
+
+
 PRINTED = [(verify.check_counts_connected, "PRINTED_CONNECTED"),
            (verify.check_counts_lie, "PRINTED_LIE"),
            (verify.check_counts_schroder, "PRINTED_SCHRODER")]

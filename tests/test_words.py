@@ -97,9 +97,17 @@ def test_parkize_example():
     assert words.parkize((2, 2, 5)) == (1, 1, 3)
 
 
-@pytest.mark.parametrize("w", [(0,), (0, 2), (3, -1, 2)])
+# word -> the letter its refusal names: the first below 1 in word order,
+# not the smallest
+PARKIZE_REFUSALS = {(0,): 0, (0, 2): 0, (3, -1, 2): -1, (3, 0, -1): 0,
+                    (2, -1, 0): -1}
+
+
+@pytest.mark.parametrize("w", list(PARKIZE_REFUSALS))
 def test_parkize_rejects_nonpositive_letters(w):
-    with pytest.raises(ValueError, match="letters must be positive integers"):
+    low = PARKIZE_REFUSALS[w]
+    with pytest.raises(ValueError,
+                       match=f"^letters must be positive integers, got {low}$"):
         words.parkize(w)
 
 
@@ -313,10 +321,23 @@ def test_evaluation():
     assert words.evaluation_composition((1, 1, 3)) == (2, 1)
 
 
-@pytest.mark.parametrize("w", [(0, 1), (1, 0), (-1, 2)])
+# word -> the letter its refusal at n = 2 names; a letter below 1 is
+# refused first, whether it stands before or after a letter above n
+EVALUATION_REFUSALS = {(0, 1): 0, (1, 0): 0, (-1, 2): -1, (5, 0): 0,
+                       (0, 5): 0, (5, 1, -1, 0): -1}
+
+
+@pytest.mark.parametrize("w", list(EVALUATION_REFUSALS))
 def test_evaluation_rejects_letters_below_one(w):
-    with pytest.raises(ValueError, match="positive integers"):
+    low = EVALUATION_REFUSALS[w]
+    with pytest.raises(ValueError,
+                       match=f"^letters must be positive integers, got {low}$"):
         words.evaluation(w, 2)
+
+
+def test_evaluation_rejects_letters_above_n():
+    with pytest.raises(ValueError, match="^letter 5 exceeds evaluation length 2$"):
+        words.evaluation((1, 5), 2)
 
 
 def test_successors_and_closure():
