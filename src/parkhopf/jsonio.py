@@ -62,10 +62,8 @@ def lin_to_text(x: Lin, symbol: str, render=render_word) -> str:
     return " ".join(chunks)
 
 
-def lin_to_json(x: Lin, algebra: str, basis: str, encode=None) -> dict:
+def lin_to_json(x: Lin, algebra: str, basis: str, encode=list) -> dict:
     """Schema: {"algebra": ..., "basis": ..., "terms": [{"idx", "c"}, ...]}."""
-    if encode is None:
-        encode = list
     return {
         "algebra": algebra,
         "basis": basis,
@@ -85,9 +83,7 @@ def tensor_to_text(x: Lin, symbol: str, render=render_word) -> str:
     return lin_to_text(x, "", pair)
 
 
-def tensor_to_json(x: Lin, algebra: str, basis: str, encode=None) -> dict:
+def tensor_to_json(x: Lin, algebra: str, basis: str, encode=list) -> dict:
     """lin_to_json with each pair label encoded as [encode(u), encode(v)]."""
-    if encode is None:
-        encode = list
     return lin_to_json(x, algebra, basis,
                        lambda label: [encode(label[0]), encode(label[1])])

@@ -18,7 +18,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _normalize(m) -> Matrix:
-    return tuple(map(tuple, m))
+    """m as a tuple of tuples; one that is already comes back as itself."""
+    rows = tuple(map(tuple, m))
+    return m if rows == m else rows
 
 
 def width(m: Matrix) -> int:
@@ -154,11 +156,9 @@ def matrix_parkize(m: Matrix) -> Matrix:
     column sums decide the relabelling, as `words.parkize` does on the
     sorted reading (see `_column_plan`).  A label never moves up and its
     drop never shrinks, so the reading parks exactly when the last
-    nonzero column keeps its label.  A tuple whose first row is a tuple
-    is taken as built here, a tuple of tuples, and is not copied.
+    nonzero column keeps its label.
     """
-    if type(m) is not tuple or m and type(m[0]) is not tuple:
-        m = _normalize(m)
+    m = _normalize(m)
     plan = _column_plan(tuple(map(sum, zip(*m))))
     if plan is None:
         return m

@@ -47,7 +47,7 @@ def hypo_key(w: Word) -> Key:
     last = [0] * n
     for i, x in enumerate(w):
         if x < 1:
-            raise ValueError(f"letters must be positive integers, got {x}")
+            raise _below_one(w)
         if x > n:
             raise (_below_one(w)
                    or ValueError(f"letter {x} exceeds evaluation length {n}"))

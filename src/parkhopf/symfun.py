@@ -1,7 +1,8 @@
 """Symmetric functions, quasi-symmetric functions, and their noncommutative
 cousins, at the scale needed for parking-function character computations.
 
-A Sym is its h-expansion over partition labels.  The e family enters by
+A symmetric function is its h-expansion: a Lin over partition labels, as
+QSym and NSym elements are Lins over compositions.  The e family enters by
 the alternating convolution recurrence e_n = sum (-1)^(k-1) h_k e_(n-k);
 the monomial expansion, needed by the Hall pairing and the map to QSym,
 leaves by counting nonnegative-integer matrices with prescribed margins.
@@ -46,16 +47,28 @@ def _merge(parts1: Partition, parts2: Partition) -> Partition:
     return tuple(sorted(parts1 + parts2, reverse=True))
 
 
-def _h_mul(a: Lin, b: Lin) -> Lin:
+def h(parts, c=1) -> Lin:
+    """c h_parts; parts must be a partition (weakly decreasing, positive)."""
+    parts = tuple(parts)
+    if any(p < 1 for p in parts) or list(parts) != sorted(parts, reverse=True):
+        raise ValueError(f"not a partition: {parts}")
+    return Lin.basis(parts, c)
+
+
+def e(parts, c=1) -> Lin:
+    return omega(h(parts, c))
+
+
+def h_product(a: Lin, b: Lin) -> Lin:
     """Product of h-expansions: labels merge."""
     return _build((_merge(k1, k2), c1 * c2) for k1, c1 in a.items()
                   for k2, c2 in b.items())
 
 
-def _substitute(vec: Lin, image) -> Lin:
+def _substitute(x: Lin, image) -> Lin:
     """The algebra map h_n -> image(n), applied to an h-expansion."""
-    return lin_sum(reduce(_h_mul, map(image, lam), Lin.basis((), c))
-                   for lam, c in vec.items())
+    return lin_sum(reduce(h_product, map(image, lam), Lin.basis((), c))
+                   for lam, c in x.items())
 
 
 @lru_cache(maxsize=None)
@@ -96,96 +109,43 @@ def _h_label_in_m(lam: Partition) -> Lin:
     return _build((mu, _margin_matrix_count(lam, mu)) for mu in partitions(sum(lam)))
 
 
-class Sym:
-    """Symmetric function held as its expansion over the h basis."""
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec: Lin):
-        self.vec = vec
-
-    @staticmethod
-    def h(parts, c=1) -> "Sym":
-        parts = tuple(parts)
-        if any(p < 1 for p in parts) or list(parts) != sorted(parts, reverse=True):
-            raise ValueError(f"not a partition: {parts}")
-        return Sym(Lin.basis(parts, c))
-
-    @staticmethod
-    def e(parts, c=1) -> "Sym":
-        return omega(Sym.h(parts, c))
-
-    @staticmethod
-    def one() -> "Sym":
-        return Sym.h(())
-
-    def in_m(self) -> Lin:
-        """Expansion over the monomial basis, by margin counts."""
-        return lin_sum(_h_label_in_m(lam).scale(c) for lam, c in self.vec.items())
-
-    def __add__(self, other: "Sym") -> "Sym":
-        return Sym(self.vec + other.vec)
-
-    def __sub__(self, other: "Sym") -> "Sym":
-        return Sym(self.vec - other.vec)
-
-    def __neg__(self) -> "Sym":
-        return Sym(-self.vec)
-
-    def scale(self, c) -> "Sym":
-        return Sym(self.vec.scale(c))
-
-    def __mul__(self, other):
-        if isinstance(other, Sym):
-            return Sym(_h_mul(self.vec, other.vec))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sym) and self.vec == other.vec
-
-    def __hash__(self):
-        raise TypeError("Sym is not hashable")
-
-    def __repr__(self) -> str:
-        items = sorted(self.vec.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        body = " + ".join(f"{c}*h{list(lam)}" for lam, c in items) or "0"
-        return f"Sym({body})"
+def in_m(x: Lin) -> Lin:
+    """Expansion over the monomial basis, by margin counts."""
+    return lin_sum(_h_label_in_m(lam).scale(c) for lam, c in x.items())
 
 
-def omega(x: Sym) -> Sym:
+def omega(x: Lin) -> Lin:
     """The involution swapping the e and h generator families."""
-    return Sym(_substitute(x.vec, _e_in_h))
+    return _substitute(x, _e_in_h)
 
 
 # ---------------------------------------------------------------------------
 # the star involution
 
 @lru_cache(maxsize=None)
-def h_star(n: int) -> Sym:
+def h_star(n: int) -> Lin:
     """Image of h_n under the star involution.  H*(t) = E(-t H*(t)), so
     h_n* is the n-th free moment of the cumulants r_s = (-1)^s e_s."""
     if n == 0:
-        return Sym.one()
+        return Lin.basis(())
     rs = [_e_in_h(s).scale((-1) ** s) for s in range(1, n + 1)]
-    return Sym(free_moments(rs, Lin(), Lin.basis(()), _h_mul)[-1])
+    return free_moments(rs, Lin(), Lin.basis(()), h_product)[-1]
 
 
-def star(x: Sym) -> Sym:
+def star(x: Lin) -> Lin:
     """Algebra endomorphism determined by h_n -> h_n*; an involution."""
-    return Sym(_substitute(x.vec, lambda part: h_star(part).vec))
+    return _substitute(x, h_star)
 
 
 @lru_cache(maxsize=None)
-def e_star(n: int) -> Sym:
-    return star(Sym.e((n,)) if n else Sym.one())
+def e_star(n: int) -> Lin:
+    return star(e((n,)) if n else Lin.basis(()))
 
 
 # ---------------------------------------------------------------------------
 # characters of the symmetric group on parking functions
 
-def prime_characteristic(n: int) -> Sym:
+def prime_characteristic(n: int) -> Lin:
     """Frobenius characteristic of the action on prime parking functions."""
     if n < 1:
         raise ValueError("defined for n >= 1")
@@ -205,18 +165,15 @@ def kreweras_count(lam: Partition, size: int) -> int:
     return out
 
 
-def type_characteristic(i: Composition) -> Sym:
+def type_characteristic(i: Composition) -> Lin:
     """Character of the action on parking functions of a given type."""
-    out = Sym.one()
-    for part in i:
-        out = out * prime_characteristic(part)
-    return out
+    return reduce(h_product, map(prime_characteristic, i), Lin.basis(()))
 
 
-def parking_characteristic(n: int) -> Sym:
+def parking_characteristic(n: int) -> Lin:
     """Character of the action on parking functions: h_lam once per orbit,
     that is per nondecreasing parking function of evaluation type lam."""
-    return Sym(_build((lam, kreweras_count(lam, n)) for lam in partitions(n)))
+    return _build((lam, kreweras_count(lam, n)) for lam in partitions(n))
 
 
 def prime_eval_count(lam) -> int:
@@ -237,16 +194,16 @@ def prime_eval_count(lam) -> int:
 # ---------------------------------------------------------------------------
 # ribbons and the Hall pairing
 
-def ribbon_h(j: Composition) -> Sym:
+def ribbon_h(j: Composition) -> Lin:
     """Inclusion-exclusion ribbon r_J over the h basis."""
     j = tuple(j)
-    return Sym(_build((partition_of(k), (-1) ** (len(j) - len(k)))
-                      for k in coarsenings(j)))
+    return _build((partition_of(k), (-1) ** (len(j) - len(k)))
+                  for k in coarsenings(j))
 
 
-def hall_pairing(x: Sym, y: Sym) -> int | Fraction:
+def hall_pairing(x: Lin, y: Lin) -> int | Fraction:
     """Bilinear pairing with <h_lam, m_mu> = delta."""
-    return dual_pairing(x.vec, y.in_m())
+    return dual_pairing(x, in_m(y))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +278,7 @@ def quasi_shuffle(i: Composition, j: Composition) -> Lin:
         quasi_shuffle(i[1:], j[1:]).map_labels(lambda k: (i[0] + j[0],) + k)))
 
 
-def qs_m_product(x: Lin, y: Lin) -> Lin:
-    return extend_bilinear(quasi_shuffle)(x, y)
+qs_m_product = extend_bilinear(quasi_shuffle)
 
 
 def qs_f_to_m(x: Lin) -> Lin:
@@ -348,20 +304,18 @@ def qs_f_coproduct(x: Lin) -> Lin:
     return tensor_map(m_to_f, m_to_f)(qs_m_coproduct(qs_f_to_m(x)))
 
 
-def sym_to_qsym_m(x: Sym) -> Lin:
+def sym_to_qsym_m(x: Lin) -> Lin:
     """Expand over QSym monomials: m_lam -> sum of its distinct rearrangements."""
-    return _build((alpha, c) for lam, c in x.in_m().items()
+    return _build((alpha, c) for lam, c in in_m(x).items()
                   for alpha in distinct_permutations(lam))
 
 
 # ---------------------------------------------------------------------------
 # NSym on composition labels
 
-def ns_product(x: Lin, y: Lin) -> Lin:
-    return extend_bilinear(lambda i, j: Lin.basis(tuple(i) + tuple(j)))(x, y)
+ns_product = extend_bilinear(lambda i, j: Lin.basis(tuple(i) + tuple(j)))
 
 
-
-def ns_image(x: Lin) -> Sym:
+def ns_image(x: Lin) -> Lin:
     """Commutative image S_n -> h_n of an S-basis element."""
-    return Sym(x.map_labels(partition_of))
+    return x.map_labels(partition_of)

@@ -725,27 +725,27 @@ def check_descent_type_law(d: int) -> tuple[bool, str]:
     return OK
 
 
-def h_star_closed(n: int) -> symfun.Sym:
+def h_star_closed(n: int) -> Lin:
     """Independent route: h_n* = [t^n] E(-t)^(n+1) / (n+1)."""
     if n == 0:
-        return symfun.Sym.one()
+        return Lin.basis(())
     em = [Lin.basis(())] + [symfun._e_in_h(k).scale((-1) ** k) for k in range(1, n + 1)]
     powed = em  # raised to E(-t)^(n+1), truncated at t^n
     for _ in range(n):
-        powed = [lin_sum(symfun._h_mul(powed[i], em[k - i]) for i in range(k + 1))
+        powed = [lin_sum(symfun.h_product(powed[i], em[k - i]) for i in range(k + 1))
                  for k in range(n + 1)]
-    return symfun.Sym(powed[n].scale(Fraction(1, n + 1)))
+    return powed[n].scale(Fraction(1, n + 1))
 
 
 def check_star_involution(d: int) -> tuple[bool, str]:
-    if symfun.h_star(1) != -symfun.Sym.h((1,)):
+    if symfun.h_star(1) != -symfun.h((1,)):
         return _fail("first star image wrong")
-    if symfun.h_star(2) != symfun.Sym.h((1, 1), 2) - symfun.Sym.h((2,)):
+    if symfun.h_star(2) != symfun.h((1, 1), 2) - symfun.h((2,)):
         return _fail("second star image wrong")
     for n in range(1, d + 3):
         if symfun.h_star(n) != h_star_closed(n):
             return _fail(f"star routes differ at n={n}")
-        if symfun.star(symfun.h_star(n)) != symfun.Sym.h((n,)):
+        if symfun.star(symfun.h_star(n)) != symfun.h((n,)):
             return _fail(f"star not involutive at n={n}")
         if symfun.e_star(n) != -symfun.omega(symfun.prime_characteristic(n)):
             return _fail(f"elementary star routes differ at n={n}")
@@ -757,33 +757,33 @@ def check_star_involution(d: int) -> tuple[bool, str]:
             lam = tuple(sorted((rng.randint(1, n) for _ in range(2)),
                                reverse=True))
             terms.append((lam, rng.randint(-3, 3)))
-        x = symfun.Sym(_build(terms))
+        x = _build(terms)
         if symfun.star(symfun.star(x)) != x:
             return _fail("star not involutive on a random element")
     return OK
 
 
-def prime_characteristic_closed(n: int) -> symfun.Sym:
+def prime_characteristic_closed(n: int) -> Lin:
     """Same character by the explicit partition-indexed formula."""
     if n < 1:
         raise ValueError("defined for n >= 1")
     if n == 1:
-        return symfun.Sym.h((1,))
-    return symfun.Sym(_build((lam, symfun.kreweras_count(lam, n - 2))
-                             for lam in words.partitions(n)))
+        return symfun.h((1,))
+    return _build((lam, symfun.kreweras_count(lam, n - 2))
+                  for lam in words.partitions(n))
 
 
-def type_characteristic_by_words(i: words.Composition) -> symfun.Sym:
+def type_characteristic_by_words(i: words.Composition) -> Lin:
     """Oracle route: sum h over evaluations of nondecreasing members of the type class."""
     n = sum(i)
-    return symfun.Sym(_build((_evaluation_partition(a), 1)
-                             for a in words.nondecreasing_parking_functions(n)
-                             if words.prime_type(a) == tuple(i)))
+    return _build((_evaluation_partition(a), 1)
+                  for a in words.nondecreasing_parking_functions(n)
+                  if words.prime_type(a) == tuple(i))
 
 
-def parking_characteristic_by_words(n: int) -> symfun.Sym:
-    return symfun.Sym(_build((_evaluation_partition(a), 1)
-                             for a in words.nondecreasing_parking_functions(n)))
+def parking_characteristic_by_words(n: int) -> Lin:
+    return _build((_evaluation_partition(a), 1)
+                  for a in words.nondecreasing_parking_functions(n))
 
 
 def check_characteristics(d: int) -> tuple[bool, str]:
@@ -799,7 +799,7 @@ def check_characteristics(d: int) -> tuple[bool, str]:
         if pc != parking_characteristic_by_words(n):
             return _fail(f"full character routes differ at n={n}")
         # PF_n = sum over compositions I of n of the products f_I
-        if pc.vec != lin_sum(tc.vec for tc in types.values()):
+        if pc != lin_sum(types.values()):
             return _fail(f"full character is not the sum over types at n={n}")
         star_route = symfun.omega(symfun.h_star(n)).scale((-1) ** n)
         if pc != star_route:
@@ -832,11 +832,11 @@ def check_hall_pairing(d: int) -> tuple[bool, str]:
     positive: <f_n, s_lam> >= 0."""
     for n in range(1, d + 1):
         schur = {lam: _schur_in_h(lam) for lam in words.partitions(n)}
-        in_m = {lam: symfun.Sym(s).in_m() for lam, s in schur.items()}
+        in_m = {lam: symfun.in_m(s) for lam, s in schur.items()}
         for (lam, s), mu in product(schur.items(), schur):
             if dual_pairing(s, in_m[mu]) != int(lam == mu):
                 return _fail(f"Schur functions not orthonormal at {lam},{mu}")
-        f = symfun.prime_characteristic(n).vec
+        f = symfun.prime_characteristic(n)
         for lam in schur:
             if dual_pairing(f, in_m[lam]) < 0:
                 return _fail(f"prime characteristic not Schur positive at {lam}")
@@ -870,7 +870,7 @@ def cumulants_via_star(moments) -> list[Fraction]:
 
     out = []
     for n in range(1, len(ms) + 1):
-        val = sum((c * spec(lam) for lam, c in symfun.e_star(n).vec.items()),
+        val = sum((c * spec(lam) for lam, c in symfun.e_star(n).items()),
                   Fraction(0))
         out.append(val if n % 2 == 0 else -val)
     return out

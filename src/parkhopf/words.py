@@ -50,7 +50,7 @@ def _slack(w: Word) -> list[int]:
     steps[0] = 0
     for x in w:
         if x < 1:
-            raise ValueError(f"letters must be positive integers, got {x}")
+            raise _below_one(w)
         if x <= n:
             steps[x] += 1
     return list(itertools.accumulate(steps))
@@ -332,7 +332,7 @@ def evaluation(w: Word, n: int) -> tuple[int, ...]:
     ev = [0] * n
     for x in w:
         if x < 1:
-            raise ValueError(f"letters must be positive integers, got {x}")
+            raise _below_one(w)
         if x > n:
             raise (_below_one(w)
                    or ValueError(f"letter {x} exceeds evaluation length {n}"))

@@ -98,6 +98,9 @@ def test_list_matrices_act_as_tuples():
             assert matrices.matrix_parkize(rows) == matrices.matrix_parkize(m)
             assert matrices.mp_coproduct(rows) == matrices.mp_coproduct(m)
     assert matrices.matrix_parkize([[0, 0, 0]]) == ((),)
+    # a tuple whose later rows are lists is copied as a list would be
+    assert matrices.matrix_parkize(((1,), [1])) == ((1,), (1,))
+    assert matrices.matrix_parkize(((0, 1), [1, 0])) == ((0, 1), (1, 0))
     assert matrices.reading([]) == ()
 
 

@@ -15,36 +15,44 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 def test_conversions_of_the_h_expansion():
-    h = symfun.Sym.h
-    assert symfun.Sym.e((3,)) == h((1, 1, 1)) - h((2, 1), 2) + h((3,))
+    h = symfun.h
+    assert symfun.e((3,)) == h((1, 1, 1)) - h((2, 1), 2) + h((3,))
     for lam in [(3,), (2, 1), (1, 1, 1), (2, 2)]:
-        x = symfun.Sym.h(lam)
-        assert symfun.omega(x) == symfun.Sym.e(lam)
+        x = symfun.h(lam)
+        assert symfun.omega(x) == symfun.e(lam)
         assert symfun.omega(symfun.omega(x)) == x
     want = Lin.basis((3,)) + Lin.basis((2, 1), 2) + Lin.basis((1, 1, 1), 3)
-    assert symfun.Sym.h((2, 1)).in_m() == want
+    assert symfun.in_m(symfun.h((2, 1))) == want
+    assert symfun.h_product(h((2,)), h((1,))) == h((2, 1))
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 0)])
+def test_h_refuses_a_non_partition(parts):
+    with pytest.raises(ValueError) as info:
+        symfun.h(parts)
+    assert str(info.value) == f"not a partition: {parts}"
 
 
 def test_omega_involution():
-    x = symfun.Sym.h((2, 1)) - symfun.Sym.h((3,), 2)
+    x = symfun.h((2, 1)) - symfun.h((3,), 2)
     assert symfun.omega(symfun.omega(x)) == x
-    assert symfun.omega(symfun.Sym.e((2, 1))) == symfun.Sym.h((2, 1))
+    assert symfun.omega(symfun.e((2, 1))) == symfun.h((2, 1))
 
 
 def test_star_small_values():
-    assert symfun.h_star(1) == -symfun.Sym.h((1,))
-    assert symfun.h_star(2) == symfun.Sym.h((1, 1), 2) - symfun.Sym.h((2,))
+    assert symfun.h_star(1) == -symfun.h((1,))
+    assert symfun.h_star(2) == symfun.h((1, 1), 2) - symfun.h((2,))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_star_routes_and_involution(n):
     assert symfun.h_star(n) == verify.h_star_closed(n)
-    assert symfun.star(symfun.h_star(n)) == symfun.Sym.h((n,))
+    assert symfun.star(symfun.h_star(n)) == symfun.h((n,))
     assert symfun.e_star(n) == -symfun.omega(symfun.prime_characteristic(n))
 
 
 def test_characteristics():
-    assert symfun.prime_characteristic(1) == symfun.Sym.h((1,))
+    assert symfun.prime_characteristic(1) == symfun.h((1,))
     for n in range(2, 6):
         assert symfun.prime_characteristic(n) == \
             verify.prime_characteristic_closed(n)
@@ -100,15 +108,15 @@ def test_hall_pairing_check_sees_a_wrong_monomial_expansion(monkeypatch):
 def test_hall_pairing_check_sees_a_character_that_is_not_schur_positive(
         monkeypatch):
     monkeypatch.setattr(symfun, "prime_characteristic",
-                        lambda n: -symfun.Sym.h((n,)))
+                        lambda n: -symfun.h((n,)))
     ok, detail = verify.check_hall_pairing(4)
     assert not ok and "not Schur positive" in detail
 
 
 def test_ribbon_h():
     r = symfun.ribbon_h((1, 1))
-    assert r == symfun.Sym.h((1, 1)) - symfun.Sym.h((2,))
-    assert symfun.ribbon_h((2,)) == symfun.Sym.h((2,))
+    assert r == symfun.h((1, 1)) - symfun.h((2,))
+    assert symfun.ribbon_h((2,)) == symfun.h((2,))
 
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012,
@@ -231,7 +239,7 @@ def test_qs_basis_roundtrip():
 
 def test_sym_to_qsym():
     # h_21 = m_3 + 2 m_21 + 3 m_111
-    got = symfun.sym_to_qsym_m(symfun.Sym.h((2, 1)))
+    got = symfun.sym_to_qsym_m(symfun.h((2, 1)))
     assert got == (Lin.basis((3,)) + Lin.basis((2, 1), 2)
                    + Lin.basis((1, 2), 2) + Lin.basis((1, 1, 1), 3))
 
@@ -239,7 +247,7 @@ def test_sym_to_qsym():
 def test_nsym_ops():
     assert symfun.ns_product(Lin.basis((2,)), Lin.basis((1, 1))) == \
         Lin.basis((2, 1, 1))
-    assert symfun.ns_image(Lin.basis((2, 1))) == symfun.Sym.h((2, 1))
+    assert symfun.ns_image(Lin.basis((2, 1))) == symfun.h((2, 1))
 
 
 def test_eta_v_compatibility():
