@@ -23,7 +23,7 @@ from .words import (
     is_catalan_word,
     multinomial,
     nondecreasing_parking_functions,
-    parkize,
+    parkized_evaluation,
     shifted_concat,
     successor_closure,
     word_of_evaluation,
@@ -51,12 +51,20 @@ p_mul = extend_bilinear(lambda a, b: Lin.basis(p_product(a, b)))
 
 
 def p_coproduct(pi: Word) -> Lin:
-    """Split the multiset of letters in all ways, parkizing both parts."""
+    """Split the multiset of letters in all ways, parkizing both parts.
+
+    A pick keeps k_v of the m_v copies of each letter v, and both halves
+    are read off the counts by `words.parkized_evaluation`.  The picks
+    come in lexicographic order, so their complements are the same list
+    reversed: each pick's parkized word is formed once and serves as a
+    left half and as a right half.
+    """
     pi = _check_label(pi)
     ev = evaluation(pi, len(pi))
-    return _build(((parkize(word_of_evaluation(pick)),
-                    parkize(word_of_evaluation([m - k for k, m in zip(pick, ev)]))), 1)
-                  for pick in product(*(range(m + 1) for m in ev)))
+    letters = range(1, len(pi) + 1)
+    halves = [word_of_evaluation(parkized_evaluation(letters, pick))
+              for pick in product(*(range(m + 1) for m in ev))]
+    return _build(((u, v), 1) for u, v in zip(halves, reversed(halves)))
 
 
 def m_product(p1: Word, p2: Word) -> Lin:

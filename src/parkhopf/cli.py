@@ -78,18 +78,18 @@ def _check_out(args) -> None:
     raise _Refused(f"cannot write {args.out}: {os.strerror(code)}")
 
 
-def _emit(args, text: str | None, payload) -> None:
-    """Print text (None prints nothing) or JSON; also write JSON to --out.
+def _emit(args, text, payload) -> None:
+    """Print text or JSON; also write JSON to --out.  `text` and `payload`
+    are thunks, and only the forms printed or written are built.
 
     The file is opened first, so an unwritable --out prints nothing."""
     out = _open_out(args)
     try:
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        elif text is not None:
-            print(text)
+        doc = payload() if args.format == "json" or out else None
+        print(json.dumps(doc, sort_keys=True) if args.format == "json"
+              else text())
         if out:
-            json.dump(payload, out, sort_keys=True, indent=2)
+            json.dump(doc, out, sort_keys=True, indent=2)
             out.write("\n")
     finally:
         if out:
@@ -108,8 +108,8 @@ def cmd_enum(args) -> int:
     _check_out(args)
     if args.count_only:
         count = words.class_count(args.kind, args.n)
-        _emit(args, str(count),
-              {"kind": args.kind, "n": args.n, "count": count})
+        _emit(args, lambda: str(count),
+              lambda: {"kind": args.kind, "n": args.n, "count": count})
         return 0
     # every class generator yields in lexicographic order
     listed = words.enumerate_class(args.kind, args.n)
@@ -185,8 +185,8 @@ def cmd_op(args) -> int:
         result = op(*labels)
     except ValueError as exc:
         return _die(3, str(exc))
-    _emit(args, to_text(result, symbol, render),
-          to_json(result, algebra, args.basis, encode))
+    _emit(args, lambda: to_text(result, symbol, render),
+          lambda: to_json(result, algebra, args.basis, encode))
     return 0
 
 
@@ -208,14 +208,14 @@ def cmd_series(args) -> int:
     else:  # g
         from . import catalan
         g = catalan.g_series(n)
-        lines = [f"g_{k} = " + lin_to_text(g[k], "S^") for k in range(1, n + 1)]
-        payload = {"series": "g", "N": n,
-                   "degrees": [lin_to_json(g[k], "NSym", "S")
-                               for k in range(1, n + 1)]}
-        _emit(args, "\n".join(lines), payload)
+        _emit(args, lambda: "\n".join(f"g_{k} = " + lin_to_text(g[k], "S^")
+                                      for k in range(1, n + 1)),
+              lambda: {"series": "g", "N": n,
+                       "degrees": [lin_to_json(g[k], "NSym", "S")
+                                   for k in range(1, n + 1)]})
         return 0
-    _emit(args, " ".join(str(c) for c in coeffs),
-          {"series": args.which, "N": n, "coefficients": list(coeffs)})
+    _emit(args, lambda: " ".join(str(c) for c in coeffs),
+          lambda: {"series": args.which, "N": n, "coefficients": list(coeffs)})
     return 0
 
 
@@ -292,8 +292,8 @@ def cmd_cumulants(args) -> int:
     except ValueError:  # the interpreter's int-to-str digit limit
         return _die(2, "output bound exceeded: a term has more than "
                        f"{sys.get_int_max_str_digits()} digits")
-    _emit(args, ",".join(rendered),
-          {"direction": direction, "input": given, "output": rendered})
+    _emit(args, lambda: ",".join(rendered),
+          lambda: {"direction": direction, "input": given, "output": rendered})
     return 0
 
 
@@ -318,11 +318,11 @@ def cmd_verify(args) -> int:
             lines.append(f"FAIL   {r.suite}/{r.name}: {r.detail}")
     checks = sum(1 for r in results if r.kind == "check")
     lines.append(f"{checks - failed}/{checks} checks passed")
-    payload = {"suite": args.suite, "max_degree": args.max_degree,
-               "results": [{"suite": r.suite, "name": r.name, "ok": r.ok,
-                            "kind": r.kind, "detail": r.detail}
-                           for r in results]}
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines),
+          lambda: {"suite": args.suite, "max_degree": args.max_degree,
+                   "results": [{"suite": r.suite, "name": r.name, "ok": r.ok,
+                                "kind": r.kind, "detail": r.detail}
+                               for r in results]})
     return 1 if failed else 0
 
 

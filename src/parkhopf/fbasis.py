@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linear import (Lin, _build, extend_bilinear, extend_linear,
+from .linear import (Lin, _build, _freeze, extend_bilinear, extend_linear,
                      invert_unitriangular)
 from .words import (
     Composition,
     Word,
+    _shuffle_getters,
     connected_factorization,
     descent_composition,
     is_parking,
     parking_list,
     parkize,
     prime_parking_functions,
+    shift,
     shifted_shuffle,
 )
 
@@ -58,21 +60,27 @@ def f_antipode(a: Word) -> Lin:
     S(F_a) = sum of (-1)^k F_pk(b1) ... F_pk(bk) over every factorization
     a = b1 ... bk.  Grouping the terms by their last block a[i:j] gives
     T_0 = 1, T_j = -sum_{i<j} T_i F_pk(a[i:j]) and S(F_a) = T_n: O(n^2)
-    shifted shuffles instead of 2^(n-1) chains of products.  Each T_j is
-    a plain dict of int coefficients, frozen into a Lin only at the end.
+    shifted shuffles instead of 2^(n-1) chains of products.  Every word of
+    T_i has length i, so each (i, j) shifts its block and fetches the
+    shuffle getters once, then applies them to u + block for each u.
+    Each T_j is a plain dict of int coefficients, frozen into a Lin only
+    at the end.
     """
     a = _check_parking(a)
     prefix = [{(): 1}]  # prefix[j] = T_j
     for j in range(1, len(a) + 1):
-        acc: dict[Word, int] = {}
+        acc: dict[Word, int] = {parkize(a[:j]): -1}  # i = 0, as T_0 = 1
         get = acc.get
-        for i in range(j):
-            block = parkize(a[i:j])
+        for i in range(1, j):
+            block = shift(parkize(a[i:j]), i)
+            getters = _shuffle_getters(i, j - i)
             for u, c in prefix[i].items():
-                for w in shifted_shuffle(u, block):
+                word = u + block
+                for g in getters:
+                    w = g(word)
                     acc[w] = get(w, 0) - c
         prefix.append({w: c for w, c in acc.items() if c})
-    return _build(prefix[-1].items())
+    return _freeze(prefix[-1])
 
 
 @lru_cache(maxsize=None)

@@ -158,7 +158,11 @@ def matrix_parkize(m: Matrix) -> Matrix:
     drop never shrinks, so the reading parks exactly when the last
     nonzero column keeps its label.
     """
-    m = _normalize(m)
+    return _parkize_rows(_normalize(m))
+
+
+def _parkize_rows(m: Matrix) -> Matrix:
+    """`matrix_parkize` of a matrix that is already a tuple of tuples."""
     plan = _column_plan(tuple(map(sum, zip(*m))))
     if plan is None:
         return m
@@ -175,7 +179,7 @@ mp_mul = extend_bilinear(mp_product)
 def mp_coproduct(m: Matrix) -> Lin:
     """Cut the row list in two and parkize both halves."""
     m = _normalize(m)
-    return _build(((matrix_parkize(m[:k]), matrix_parkize(m[k:])), 1)
+    return _build(((_parkize_rows(m[:k]), _parkize_rows(m[k:])), 1)
                   for k in range(len(m) + 1))
 
 

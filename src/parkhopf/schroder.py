@@ -22,10 +22,10 @@ from math import factorial, prod
 from operator import itemgetter, sub
 
 from .fbasis import _check_parking
-from .gbasis import g_mul
+from .gbasis import convolution
 from .linear import Lin, _build
 from .words import (Word, _below_one, coarsenings, evaluation,
-                    parking_list)
+                    parking_list, parkized_evaluation)
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -320,22 +320,6 @@ def _recoil_class_size(recoils: tuple[int, ...]) -> int:
                // prod(map(factorial, t)) for t in coarsenings(recoils))
 
 
-def _parkized_evaluation(letters, counts) -> tuple[int, ...]:
-    """Evaluation of the parkized word holding counts[j] copies of each of
-    the increasing letters[j], by the rule of `words.parkize`:
-    new(v) = min(new(prev) + v - prev, i) on the distinct letters."""
-    ev = [0] * sum(counts)
-    prev = cur = 0
-    i = 1  # one more than the letters below v
-    for v, c in zip(letters, counts):
-        if c:
-            cur = min(cur + v - prev, i)
-            ev[cur - 1] = c
-            prev = v
-            i += c
-    return tuple(ev)
-
-
 def pq_coproduct(key: Key) -> Lin:
     """Coproduct of a class sum, regrouped into pairs of class sums.
 
@@ -351,8 +335,8 @@ def pq_coproduct(key: Key) -> Lin:
     totals: dict = {}
     get = totals.get
     for c, row in _class_walk(m, key[1])[1]:
-        e1 = _parkized_evaluation(letters, c)
-        e2 = _parkized_evaluation(letters, tuple(map(sub, m, c)))
+        e1 = parkized_evaluation(letters, c)
+        e2 = parkized_evaluation(letters, tuple(map(sub, m, c)))
         for r1, r2, count in row:
             pair = (e1, r1), (e2, r2)
             totals[pair] = get(pair, 0) + count
@@ -367,7 +351,11 @@ def pq_coproduct(key: Key) -> Lin:
 
 
 def qq_product(k1: Key, k2: Key, rep1: Word | None = None, rep2: Word | None = None) -> Lin:
-    """Quotient-side product: multiply representatives, project to keys."""
+    """Quotient-side product: multiply representatives, project to keys.
+
+    The G product of the representatives is their convolution, every word
+    once; each word is read straight into its class key, and `convolution`
+    refuses a representative that does not park."""
     a = representative(k1) if rep1 is None else tuple(rep1)
     b = representative(k2) if rep2 is None else tuple(rep2)
-    return g_mul(Lin.basis(a), Lin.basis(b)).map_labels(hypo_key)
+    return _build((hypo_key(c), 1) for c in convolution(a, b))

@@ -100,6 +100,23 @@ def parkize(w: Word) -> Word:
     return tuple(map(new.__getitem__, w))
 
 
+def parkized_evaluation(letters, counts) -> tuple[int, ...]:
+    """Evaluation of the parkized word holding counts[j] copies of each of
+    the increasing letters[j] (a count may be 0): the rule of `parkize`
+    read off the multiplicities, new(v) = min(new(prev) + v - prev, i)
+    on the letters present, i one more than the letters below v."""
+    ev = [0] * sum(counts)
+    prev = cur = 0
+    i = 1
+    for v, c in zip(letters, counts):
+        if c:
+            cur = min(cur + v - prev, i)
+            ev[cur - 1] = c
+            prev = v
+            i += c
+    return tuple(ev)
+
+
 def standardize(w: Word) -> Word:
     """The permutation ranking letters left to right, ties broken by position."""
     order = sorted(range(len(w)), key=lambda i: (w[i], i))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import product
 
 import pytest
 
@@ -36,6 +37,20 @@ def test_p_product_is_shifted_concat():
 def test_p_coproduct_example():
     # stated once, as the p-coproduct row of verify.EXAMPLES
     assert verify._replay("p-coproduct", 0) == verify.OK
+
+
+def test_p_coproduct_matches_parkizing_both_words_of_each_pick():
+    # the route before the halves were read off the counts: each pick
+    # and its complement written out as words and parkized
+    for n in range(8):
+        for pi in words.nondecreasing_parking_functions(n):
+            ev = words.evaluation(pi, n)
+            want = _build(((words.parkize(words.word_of_evaluation(pick)),
+                            words.parkize(words.word_of_evaluation(
+                                [m - k for k, m in zip(pick, ev)]))), 1)
+                          for pick in product(*(range(m + 1) for m in ev)))
+            got = catalan.p_coproduct(pi)
+            assert got == want and list(got.items()) == list(want.items()), pi
 
 
 def test_p_embedding():

@@ -311,6 +311,38 @@ def test_out_file(capsys, tmp_path):
     assert doc["algebra"] == "PQSym"
 
 
+def test_only_the_forms_asked_for_are_built(capsys, monkeypatch, tmp_path):
+    table, arity, noun, to_text, to_json = cli.OPS["mul"]
+    built = []
+
+    def text(*args):
+        built.append("text")
+        return to_text(*args)
+
+    def payload(*args):
+        built.append("json")
+        return to_json(*args)
+
+    def refuse(*args):
+        raise AssertionError("JSON built for text output")
+
+    monkeypatch.setitem(cli.OPS, "mul", (table, arity, noun, text, refuse))
+    code, out, _ = run(capsys, "mul", "--basis", "F", "1", "1")
+    assert code == 0 and out == "F_12 + F_21\n" and built == ["text"]
+    monkeypatch.setitem(cli.OPS, "mul", (table, arity, noun, text, payload))
+    built.clear()
+    code, out, _ = run(capsys, "mul", "--basis", "F", "1", "1",
+                       "--format", "json")
+    assert code == 0 and built == ["json"]
+    target = tmp_path / "result.json"
+    built.clear()
+    code, out, _ = run(capsys, "mul", "--basis", "F", "1", "1",
+                       "--out", str(target))
+    assert code == 0 and out == "F_12 + F_21\n"
+    assert sorted(built) == ["json", "text"]
+    assert json.loads(target.read_text())["algebra"] == "PQSym"
+
+
 # the command line in a child capped at 512 MiB of address space
 _LIMITED_CLI = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29)); "

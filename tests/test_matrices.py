@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from parkhopf import matrices, verify, words
+from parkhopf.linear import _build
 
 
 def test_reading():
@@ -102,6 +103,24 @@ def test_list_matrices_act_as_tuples():
     assert matrices.matrix_parkize(((1,), [1])) == ((1,), (1,))
     assert matrices.matrix_parkize(((0, 1), [1, 0])) == ((0, 1), (1, 0))
     assert matrices.reading([]) == ()
+
+
+def test_mp_coproduct_normalizes_once(monkeypatch):
+    calls = []
+    normalize = matrices._normalize
+
+    def spy(m):
+        calls.append(m)
+        return normalize(m)
+
+    monkeypatch.setattr(matrices, "_normalize", spy)
+    m = matrices.word_matrices((3, 1, 2), 4)[0]
+    want = _build(((matrices.matrix_parkize(m[:k]),
+                    matrices.matrix_parkize(m[k:])), 1)
+                  for k in range(len(m) + 1))
+    calls.clear()
+    assert matrices.mp_coproduct(m) == want
+    assert calls == [m]
 
 
 def test_augmented_shuffle_degree_one():

@@ -8,6 +8,7 @@ import pytest
 
 from parkhopf import fbasis, schroder, verify, words
 from parkhopf.algebras import LABELS
+from parkhopf.gbasis import g_mul
 from parkhopf.linear import Lin, tensor
 
 
@@ -169,6 +170,28 @@ def test_qq_product_projects_convolution():
     keys = {schroder.hypo_key(a) for a in [w("11"), w("12"), w("21")]}
     assert set(got.labels()) == keys
     assert all(c == 1 for _, c in got.items())
+
+
+def test_qq_product_matches_the_g_product_relabelled_by_key():
+    # the route before the convolution words were read straight into
+    # keys: the G product of the representatives, relabelled by key
+    keys = [list(schroder.classes(n)) for n in range(7)]
+    for n1, n2 in product(range(7), repeat=2):
+        if n1 + n2 > 6:
+            continue
+        for k1, k2 in product(keys[n1], keys[n2]):
+            a, b = schroder.representative(k1), schroder.representative(k2)
+            want = g_mul(Lin.basis(a), Lin.basis(b)).map_labels(
+                schroder.hypo_key)
+            got = schroder.qq_product(k1, k2)
+            assert got == want and list(got.items()) == list(want.items()), \
+                (k1, k2)
+
+
+def test_qq_product_refuses_a_representative_that_does_not_park():
+    one = schroder.hypo_key(w("1"))
+    with pytest.raises(ValueError, match=r"^not a parking function: \(2,\)$"):
+        schroder.qq_product(one, one, rep2=w("2"))
 
 
 def test_key_degree():

@@ -140,6 +140,19 @@ def test_parkize_matches_the_decrement_loop_on_seeded_words():
         assert words.parkize(w) == _parkize_by_decrement(w), w
 
 
+def test_parkized_evaluation_is_the_evaluation_of_parkize():
+    # counts of 0..3 copies on every increasing choice of up to 5 letters
+    # from 1..7, gaps and absent letters included
+    for k in range(6):
+        for letters in itertools.combinations(range(1, 8), k):
+            for counts in itertools.product(range(4), repeat=k):
+                word = tuple(v for v, c in zip(letters, counts)
+                             for _ in range(c))
+                want = words.evaluation(words.parkize(word), len(word))
+                assert words.parkized_evaluation(letters, counts) == want, \
+                    (letters, counts)
+
+
 @given(random_word)
 def test_parkize_idempotent(w):
     p = words.parkize(w)
